@@ -48,7 +48,7 @@ def spherical_kmeans(
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidInputError(f"points must be (N, d), got {pts.shape}")
-    if np.any(np.abs(row_norms(pts) - 1.0) > 1e-6):
+    if not np.all(np.abs(row_norms(pts) - 1.0) <= 1e-6):  # NaN rows fail here too
         raise InvalidInputError("points must be unit-norm rows")
     if not 1 <= num_clusters <= pts.shape[0]:
         raise InvalidInputError(f"need 1 <= K <= N, got K={num_clusters}, N={pts.shape[0]}")
@@ -68,9 +68,10 @@ def spherical_kmeans(
         scores = pts @ centroids.T
         labels = np.argmax(scores, axis=1) + 1  # first max wins: lowest index on ties
         objective = float(scores[np.arange(n), labels - 1].sum())
-        assert objective >= objective_prev - 1e-9 * max(1.0, abs(objective_prev)), (
-            "spherical k-means objective decreased"
-        )
+        if not objective >= objective_prev - 1e-9 * max(1.0, abs(objective_prev)):
+            raise InvalidInputError(
+                f"spherical k-means objective fell from {objective_prev!r} to {objective!r}"
+            )
         for k in range(1, num_clusters + 1):
             members = pts[labels == k]
             if members.shape[0] == 0:
@@ -154,8 +155,7 @@ def kmeans_equivalence_check(state, dataset: Dataset) -> tuple[bool, dict]:
     scores = embeddings @ mu_unit.T
     labels_model = np.argmax(scores, axis=1) + 1
     acc_ = PrototypeAccumulator(k, embeddings.shape[1])
-    for i in range(embeddings.shape[0]):
-        acc_.add(np.tile(embeddings[i], (k, 1)), int(labels_model[i]))
+    acc_.add(np.repeat(embeddings[:, np.newaxis, :], k, axis=1), labels_model)
     mu_next = analytic_prototype_update(acc_, state.mu)
 
     # Reference path: one spherical k-means iteration from the same centroids.

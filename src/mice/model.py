@@ -5,15 +5,25 @@ row per expert, gating embeddings are (..., d), per-point cluster quantities
 are (..., K). Teacher embeddings and queue contents are always constants —
 gradients flow only through student embeddings, gating embeddings and mu.
 
-On the posterior and gradients: with q computed fresh from the current scores,
-the evidence-style identity sum_k q_k (s_k - log q_k) = logsumexp(s) makes the
-ELBO value and its first-order gradients identical whether or not q is treated
-as a constant, so one gradient formula (weights = q) covers both conventions.
+One scoring core, `_score_core`, scores the combined embeddings w = f + mu_hat
+against a positive and F teacher blocks: 1/tau is folded into w, and the logits
+live in one (K, B, F) buffer that is shifted and exponentiated in place. Its
+three callers are `elbo_batch` (blocks = the negative queue, the positive a
+separate partition term), `log_partition_estimates` (the `evaluate` path,
+forward only) and `full_batch_elbo_grads` (blocks = all N teacher blocks, own
+included, so no separate positive term). Both ELBOs share one tail,
+`_elbo_result`: posterior, objective, gradients, KL and entropy.
+
+With q computed fresh from the current scores, the evidence-style identity
+sum_k q_k (s_k - log q_k) = logsumexp(s) makes the ELBO value and its
+first-order gradients identical whether or not q is treated as a constant, so
+one gradient formula (weights = q) covers both conventions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,15 +78,28 @@ class EmbeddingQueue:
     def capacity(self) -> int:
         return self.buffer.shape[0]
 
-    def push(self, block: np.ndarray) -> None:
-        b = np.asarray(block, dtype=np.float64)
-        if b.shape != self.buffer.shape[1:]:
+    def push(self, blocks: np.ndarray) -> None:
+        """Enqueue one (K, d) block or a (B, K, d) batch, oldest first.
+
+        A batch is one ring write of at most two slices. When B exceeds the
+        capacity only its last `capacity` blocks stay, exactly as after B
+        single pushes.
+        """
+        b = np.asarray(blocks, dtype=np.float64)
+        if b.shape == self.buffer.shape[1:]:
+            b = b[np.newaxis]
+        elif b.ndim != 3 or b.shape[1:] != self.buffer.shape[1:]:
             raise DimensionMismatchError(
                 f"block shape {b.shape} does not match queue blocks {self.buffer.shape[1:]}"
             )
-        self.buffer[self.head] = b
-        self.head = (self.head + 1) % self.capacity
-        self.fill = min(self.fill + 1, self.capacity)
+        cap = self.capacity
+        tail = b[-cap:]  # an over-long batch overwrites its own first blocks
+        start = (self.head + b.shape[0] - tail.shape[0]) % cap
+        first = min(tail.shape[0], cap - start)
+        self.buffer[start : start + first] = tail[:first]
+        self.buffer[: tail.shape[0] - first] = tail[first:]
+        self.head = (start + tail.shape[0]) % cap
+        self.fill = min(self.fill + b.shape[0], cap)
 
     def snapshot(self) -> np.ndarray:
         """Copy of the stored blocks, oldest first: (fill, K, d)."""
@@ -109,21 +132,57 @@ def _route_heads(block: np.ndarray, flags: ModelFlags) -> np.ndarray:
     return block
 
 
-def _pair_scores(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-expert dots of every w row against every block: (F,K,d), (B,K,d) -> (B,K,F).
-
-    Batched matmul over the expert axis; equivalent to
-    einsum("fkd,bkd->bkf") but BLAS-backed.
-    """
-    return (w.transpose(1, 0, 2) @ blocks.transpose(1, 2, 0)).transpose(1, 0, 2)
-
-
 def _mix_blocks(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Weighted sums of blocks per item and expert: (B,K,F), (F,K,d) -> (B,K,d).
 
     Equivalent to einsum("bkf,fkd->bkd") but BLAS-backed.
     """
     return (weights.transpose(1, 0, 2) @ blocks.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+class _Scores(NamedTuple):
+    l_pos: np.ndarray  # (B, K) positive logit
+    log_z: np.ndarray  # (B, K) log partition estimate
+    sig0: np.ndarray  # (B, K) softmax weight of the positive; 0 when it is not a term
+    exps: np.ndarray  # (B, K, F) exp(logit - row max) per block; a view of the (K, B, F) buffer
+    total: np.ndarray  # (B, K) sum of the shifted exps, so the block weights are exps / total
+
+
+def _score_core(
+    w: np.ndarray,
+    positives: np.ndarray,
+    blocks: np.ndarray,
+    tau: float,
+    include_positive: bool = True,
+) -> _Scores:
+    """Logits of w against its positives and every block, with their logsumexp.
+
+    w and positives are (B, K, d), blocks (F, K, d), heads already routed. The
+    partition sums the F block terms, plus the positive when include_positive.
+    The matmul output is the only (B, K, F)-sized array: the row max (taken
+    together with the positive), the shift and exp run in place on it. Block
+    weights are left unnormalized, since their users need only a (B, K, d)
+    mixture of them, which is cheaper to divide by `total` than the buffer.
+    """
+    w = w / tau
+    l_pos = np.sum(positives * w, axis=-1)
+    logits = w.transpose(1, 0, 2) @ blocks.transpose(1, 2, 0)  # (K, B, F)
+    shift = np.max(logits, axis=-1)
+    if include_positive:
+        np.maximum(shift, l_pos.T, out=shift)
+    logits -= shift[..., np.newaxis]
+    np.exp(logits, out=logits)
+    total = np.sum(logits, axis=-1)
+    if include_positive:
+        sig0 = np.exp(l_pos.T - shift)
+        total += sig0
+        sig0 /= total
+    else:
+        sig0 = np.zeros_like(total)
+    log_z = shift + np.log(total)
+    return _Scores(
+        l_pos, log_z.T.copy(), sig0.T.copy(), logits.transpose(1, 0, 2), total.T.copy()
+    )
 
 
 def _combined(f: np.ndarray, mu: np.ndarray | None, flags: ModelFlags) -> np.ndarray:
@@ -162,8 +221,8 @@ def expert_log_scores(v, f, mu: np.ndarray | None, tau: float, flags: ModelFlags
     fb = _as_blocks(f, "f")
     if vb.shape != fb.shape:
         raise DimensionMismatchError(f"v shape {vb.shape} and f shape {fb.shape} differ")
-    w = _combined(_route_heads(fb, flags), mu, flags)
-    scores = np.sum(_route_heads(vb, flags) * w, axis=-1) / tau
+    w = _combined(_route_heads(fb, flags), mu, flags) / tau
+    scores = np.sum(_route_heads(vb, flags) * w, axis=-1)
     return scores[0] if np.asarray(v).ndim == 2 else scores
 
 
@@ -194,14 +253,10 @@ def log_partition_estimates(
     if qb.shape[0] == 0:
         raise EmptyQueueError("partition estimate needs at least one queued block")
     w = _combined(_route_heads(fb, flags), mu, flags)
-    l_neg = _pair_scores(_route_heads(qb, flags), w) / tau
-    if include_positive:
-        l_pos = np.sum(_route_heads(vb, flags) * w, axis=-1, keepdims=True) / tau
-        logits = np.concatenate((l_pos, l_neg), axis=-1)
-    else:
-        logits = l_neg
-    out = logsumexp_rows(logits)
-    return out[0] if squeeze else out
+    scores = _score_core(
+        w, _route_heads(vb, flags), _route_heads(qb, flags), tau, include_positive
+    )
+    return scores.log_z[0] if squeeze else scores.log_z
 
 
 def posterior(gating_probs, log_scores, log_partitions) -> np.ndarray:
@@ -262,6 +317,77 @@ def _grad_mu_raw(grad_mu_normalized: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return (grad_mu_normalized - m_hat * inner) / norms
 
 
+def _elbo_result(
+    fb: np.ndarray,
+    v_eff: np.ndarray,
+    blocks: np.ndarray,
+    scores: _Scores,
+    gate: np.ndarray,
+    mu: np.ndarray | None,
+    omega: np.ndarray,
+    temps: Temperatures,
+    flags: ModelFlags,
+    q_override: np.ndarray | None = None,
+) -> ElboResult:
+    """Posterior, batch-mean ELBO, gradients and diagnostics from the core's scores.
+
+    Gradient weights are q_override when given (responsibilities held fixed),
+    else the fresh posterior, whose ELBO is logsumexp(s) by the evidence identity.
+    """
+    batch, num_k, dim = fb.shape
+    with np.errstate(divide="ignore"):
+        log_gate = np.log(gate)
+    s = log_gate + scores.l_pos - scores.log_z
+    if np.any(np.isnan(s)):
+        raise DegenerateDistributionError("posterior logits contain NaN")
+    if np.any(np.all(np.isneginf(s), axis=-1)):
+        raise DegenerateDistributionError("all unnormalized posterior terms are zero")
+    fresh = softmax_rows(s)
+    if q_override is None:
+        post = fresh
+        elbo_items = logsumexp_rows(s)
+    else:
+        post = np.asarray(q_override, dtype=np.float64)
+        if post.shape != s.shape:
+            raise DimensionMismatchError(f"q shape {post.shape} does not match {s.shape}")
+        log_q = np.log(np.where(post > 0.0, post, 1.0))
+        elbo_items = np.sum(np.where(post > 0.0, post * (s - log_q), 0.0), axis=-1)
+
+    # dELBO/dw per item and expert, weights = q:
+    # d(l_pos - log_z)/dw = ((1 - sig0) v - sum_f weight_f block_f) / tau
+    mixture = _mix_blocks(scores.exps, blocks) / scores.total[..., np.newaxis]
+    direction = (1.0 - scores.sig0)[..., np.newaxis] * v_eff - mixture
+    grad_w = post[..., np.newaxis] * direction / temps.tau
+    scale = -1.0 / batch  # dLoss = -(1/B) dSumELBO
+    if flags.a4_single_head:
+        grad_f = np.zeros_like(fb)
+        grad_f[:, 0, :] = scale * np.sum(grad_w, axis=1)
+    else:
+        grad_f = scale * grad_w
+    if flags.a5_no_class_term:
+        grad_mu = np.zeros((num_k, dim))
+    else:
+        grad_mu = _grad_mu_raw(scale * np.sum(grad_w, axis=0), np.asarray(mu, dtype=np.float64))
+    if flags.a3_uniform_gating:
+        grad_g = np.zeros((batch, omega.shape[1]))
+    else:
+        grad_g = scale * ((post - gate) @ omega) / temps.kappa
+
+    expert_term = float(np.mean(np.sum(post * (scores.l_pos - scores.log_z), axis=-1)))
+    kl_term = float(np.mean(np.sum(post * (np.log(np.maximum(post, 1e-300)) - log_gate), axis=-1)))
+    return ElboResult(
+        loss=-float(np.mean(elbo_items)),
+        elbo=float(np.mean(elbo_items)),
+        posterior=fresh,
+        grad_f=grad_f,
+        grad_g=grad_g,
+        grad_mu=grad_mu,
+        expert_term=expert_term,
+        kl_term=kl_term,
+        entropy=_entropy_mean(post),
+    )
+
+
 def elbo_batch(
     f,
     v,
@@ -303,85 +429,12 @@ def elbo_batch(
     if qb.shape[0] == 0:
         raise EmptyQueueError("elbo_batch needs at least one queued block")
 
-    f_eff = _route_heads(fb, flags)
     v_eff = _route_heads(vb, flags)
     q_eff = _route_heads(qb, flags)
-    w = _combined(f_eff, mu, flags)
-
-    gate = gating_distribution(gb, omega, temps.kappa, flags)
-    with np.errstate(divide="ignore"):
-        log_gate = np.log(gate)
-    l_pos = np.sum(v_eff * w, axis=-1) / temps.tau  # (B, K)
-    l_neg = _pair_scores(q_eff, w) / temps.tau  # (B, K, F)
-    log_z = logsumexp_rows(np.concatenate((l_pos[..., np.newaxis], l_neg), axis=-1))
-
-    s = log_gate + l_pos - log_z
-    if np.any(np.isnan(s)):
-        raise DegenerateDistributionError("posterior logits contain NaN")
-    if np.any(np.all(np.isneginf(s), axis=-1)):
-        raise DegenerateDistributionError("all unnormalized posterior terms are zero")
-    elbo_items = logsumexp_rows(s)  # == sum_k q_k (s_k - log q_k), evidence identity
-    post = softmax_rows(s)
-    loss = -float(np.mean(elbo_items))
-
-    # dELBO/dw per item and expert, weights = posterior.
-    sig0 = np.exp(l_pos - log_z)
-    sig_neg = np.exp(l_neg - log_z[..., np.newaxis])
-    grad_w = (
-        post[..., np.newaxis]
-        * ((1.0 - sig0)[..., np.newaxis] * v_eff - _mix_blocks(sig_neg, q_eff))
-        / temps.tau
-    )
-    scale = -1.0 / batch  # dLoss = -(1/B) dSumELBO
-    if flags.a4_single_head:
-        grad_f = np.zeros_like(fb)
-        grad_f[:, 0, :] = scale * np.sum(grad_w, axis=1)
-    else:
-        grad_f = scale * grad_w
-    if flags.a5_no_class_term:
-        grad_mu = np.zeros((num_k, dim))
-    else:
-        grad_mu = _grad_mu_raw(scale * np.sum(grad_w, axis=0), np.asarray(mu, dtype=np.float64))
-    if flags.a3_uniform_gating:
-        grad_g = np.zeros_like(gb)
-    else:
-        grad_g = scale * ((post - gate) @ omega) / temps.kappa
-
-    expert_term = float(np.mean(np.sum(post * (l_pos - log_z), axis=-1)))
-    kl_term = float(np.mean(np.sum(post * (np.log(np.maximum(post, 1e-300)) - log_gate), axis=-1)))
-    return ElboResult(
-        loss=loss,
-        elbo=float(np.mean(elbo_items)),
-        posterior=post,
-        grad_f=grad_f,
-        grad_g=grad_g,
-        grad_mu=grad_mu,
-        expert_term=expert_term,
-        kl_term=kl_term,
-        entropy=_entropy_mean(post),
-    )
-
-
-def _full_scores(
-    f_all: np.ndarray,
-    v_all: np.ndarray,
-    g_all: np.ndarray,
-    mu: np.ndarray | None,
-    omega: np.ndarray,
-    temps: Temperatures,
-    flags: ModelFlags,
-):
-    """Scores with the exact partition: logsumexp over every dataset teacher block."""
-    fb = _as_blocks(f_all, "f_all")
-    vb = _as_blocks(v_all, "v_all")
-    v_eff = _route_heads(vb, flags)
     w = _combined(_route_heads(fb, flags), mu, flags)
-    gate = gating_distribution(g_all, omega, temps.kappa, flags)
-    logits = _pair_scores(v_eff, w) / temps.tau  # (N, K, N), last axis indexes blocks
-    log_z = logsumexp_rows(logits)
-    n = fb.shape[0]
-    l_pos = logits[np.arange(n), :, np.arange(n)]  # own block: the positive score
-    return fb, v_eff, w, gate, logits, log_z, l_pos
+    gate = gating_distribution(gb, omega, temps.kappa, flags)
+    scores = _score_core(w, v_eff, q_eff, temps.tau)
+    return _elbo_result(fb, v_eff, q_eff, scores, gate, mu, omega, temps, flags)
 
 
 def exact_elbo(
@@ -398,15 +451,7 @@ def exact_elbo(
 
     `q` is an explicit (N, K) responsibility matrix; terms with q = 0 contribute 0.
     """
-    _, _, _, gate, _, log_z, l_pos = _full_scores(f_all, v_all, g_all, mu, omega, temps, flags)
-    qm = np.asarray(q, dtype=np.float64)
-    if qm.shape != l_pos.shape:
-        raise DimensionMismatchError(f"q shape {qm.shape} does not match {l_pos.shape}")
-    with np.errstate(divide="ignore"):
-        s = np.log(gate) + l_pos - log_z
-    log_q = np.log(np.where(qm > 0.0, qm, 1.0))
-    items = np.sum(np.where(qm > 0.0, qm * (s - log_q), 0.0), axis=-1)
-    return float(np.mean(items))
+    return full_batch_elbo_grads(f_all, v_all, g_all, mu, omega, temps, flags, q_override=q).elbo
 
 
 def full_batch_elbo_grads(
@@ -421,63 +466,14 @@ def full_batch_elbo_grads(
 ) -> ElboResult:
     """Full-dataset ELBO (exact partition) with gradients; the classical-EM workhorse.
 
-    With q_override the responsibilities are held fixed (detached posterior,
-    M-step of EM); otherwise q is the fresh posterior and the evidence identity
-    applies. Gradient weights equal the supplied or fresh q either way.
+    The scored blocks are all N teacher blocks, each point's own among them. With
+    q_override the responsibilities are held fixed (detached posterior, M-step of
+    EM); otherwise q is the fresh posterior and the evidence identity applies.
+    Gradient weights equal the supplied or fresh q either way.
     """
-    fb, v_eff, w, gate, logits, log_z, l_pos = _full_scores(
-        f_all, v_all, g_all, mu, omega, temps, flags
-    )
-    n, num_k, dim = fb.shape
-    with np.errstate(divide="ignore"):
-        s = np.log(gate) + l_pos - log_z
-    if np.any(np.isnan(s)):
-        raise DegenerateDistributionError("posterior logits contain NaN")
-    if np.any(np.all(np.isneginf(s), axis=-1)):
-        raise DegenerateDistributionError("all unnormalized posterior terms are zero")
-    fresh = softmax_rows(s)
-    if q_override is None:
-        post = fresh
-        elbo_items = logsumexp_rows(s)
-    else:
-        post = np.asarray(q_override, dtype=np.float64)
-        if post.shape != s.shape:
-            raise DimensionMismatchError("q_override shape mismatch")
-        log_q = np.log(np.where(post > 0.0, post, 1.0))
-        elbo_items = np.sum(np.where(post > 0.0, post * (s - log_q), 0.0), axis=-1)
-
-    soft_z = np.exp(logits - log_z[..., np.newaxis])  # (N, K, N) weights over blocks
-    # d(l_pos - log_z)/dw = (v_own - sum_i soft_z_i v_i) / tau
-    mixture = _mix_blocks(soft_z, v_eff)
-    grad_w = post[..., np.newaxis] * (v_eff - mixture) / temps.tau
-    scale = -1.0 / n
-    if flags.a4_single_head:
-        grad_f = np.zeros_like(fb)
-        grad_f[:, 0, :] = scale * np.sum(grad_w, axis=1)
-    else:
-        grad_f = scale * grad_w
-    if flags.a5_no_class_term:
-        grad_mu = np.zeros((num_k, dim))
-    else:
-        grad_mu = _grad_mu_raw(scale * np.sum(grad_w, axis=0), np.asarray(mu, dtype=np.float64))
-    if flags.a3_uniform_gating:
-        grad_g = np.zeros((n, omega.shape[1]))
-    else:
-        grad_g = scale * ((post - gate) @ omega) / temps.kappa
-
-    expert_term = float(np.mean(np.sum(post * (l_pos - log_z), axis=-1)))
-    with np.errstate(divide="ignore"):
-        kl_term = float(
-            np.mean(np.sum(post * (np.log(np.maximum(post, 1e-300)) - np.log(gate)), axis=-1))
-        )
-    return ElboResult(
-        loss=-float(np.mean(elbo_items)),
-        elbo=float(np.mean(elbo_items)),
-        posterior=fresh,
-        grad_f=grad_f,
-        grad_g=grad_g,
-        grad_mu=grad_mu,
-        expert_term=expert_term,
-        kl_term=kl_term,
-        entropy=_entropy_mean(post),
-    )
+    fb = _as_blocks(f_all, "f_all")
+    v_eff = _route_heads(_as_blocks(v_all, "v_all"), flags)
+    w = _combined(_route_heads(fb, flags), mu, flags)
+    gate = gating_distribution(g_all, omega, temps.kappa, flags)
+    scores = _score_core(w, v_eff, v_eff, temps.tau, include_positive=False)
+    return _elbo_result(fb, v_eff, v_eff, scores, gate, mu, omega, temps, flags, q_override)

@@ -73,18 +73,35 @@ class PrototypeAccumulator:
     def num_clusters(self) -> int:
         return self.sums.shape[0]
 
-    def add(self, teacher_block: np.ndarray, hard_label: int) -> None:
-        """Add row `hard_label` (1-indexed) of a (K, d) teacher block to its bucket."""
-        block = np.asarray(teacher_block, dtype=np.float64)
-        if block.shape != self.sums.shape:
+    def add(self, teacher_blocks: np.ndarray, hard_labels) -> None:
+        """Add row `label` (1-indexed) of each teacher block to that label's bucket.
+
+        Takes one (K, d) block with an int label, or a (B, K, d) batch with B
+        integer labels. A batch is applied in row order (np.add.at), so the sums
+        equal those of B single adds bit for bit.
+        """
+        blocks = np.asarray(teacher_blocks, dtype=np.float64)
+        if blocks.shape == self.sums.shape:
+            blocks = blocks[np.newaxis]
+            labels = np.array([int(hard_labels)])
+        elif blocks.ndim == 3 and blocks.shape[1:] == self.sums.shape:
+            labels = np.asarray(hard_labels)
+            if labels.shape != blocks.shape[:1] or not np.issubdtype(labels.dtype, np.integer):
+                raise InvalidInputError(
+                    f"need {blocks.shape[0]} integer labels, got {labels.dtype} {labels.shape}"
+                )
+        else:
             raise InvalidInputError(
-                f"teacher block shape {block.shape} does not match {self.sums.shape}"
+                f"teacher block shape {blocks.shape} does not match {self.sums.shape}"
             )
-        k = int(hard_label)
-        if not 1 <= k <= self.num_clusters:
-            raise LabelOutOfRangeError(f"label {hard_label} outside 1..{self.num_clusters}")
-        self.sums[k - 1] += block[k - 1]
-        self.counts[k - 1] += 1
+        outside = (labels < 1) | (labels > self.num_clusters)
+        if np.any(outside):
+            raise LabelOutOfRangeError(
+                f"label {labels[outside][0]} outside 1..{self.num_clusters}"
+            )
+        rows = labels - 1
+        np.add.at(self.sums, rows, blocks[np.arange(rows.shape[0]), rows])
+        np.add.at(self.counts, rows, 1)
 
     def reset(self) -> None:
         self.sums[:] = 0.0

@@ -194,8 +194,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     queue = EmbeddingQueue(config.queue_size, config.num_clusters, config.embed_dim)
     n_prefill = min(config.queue_size, dataset.points.shape[0])
     warmup = enc.augment(dataset.points[:n_prefill], rng, config.augmentation)
-    for block in enc.forward_teacher(warmup, teacher):
-        queue.push(block)
+    queue.push(enc.forward_teacher(warmup, teacher))
     acc_ = PrototypeAccumulator(config.num_clusters, config.embed_dim)
     buffers = [np.zeros_like(p) for p in enc.param_arrays(student)]
     return TrainState(
@@ -252,9 +251,8 @@ def train_step(state: TrainState, batch: np.ndarray) -> dict:
 
     state.teacher = enc.ema_update(state.teacher, state.student, cfg.ema_momentum)
     labels = hard_assign(result.posterior)
-    for i in range(batch.shape[0]):
-        state.queue.push(v[i])
-        state.accumulator.add(v[i], int(labels[i]))
+    state.queue.push(v)
+    state.accumulator.add(v, labels)
     return {
         "loss": result.loss,
         "elbo": result.elbo,

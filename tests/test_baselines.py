@@ -108,6 +108,10 @@ class TestSphericalKmeans:
         pts = normalize_rows(make_rng(1).standard_normal((5, 3)))
         with pytest.raises(InvalidInputError):
             spherical_kmeans(pts * 1.5, 2, pts[:2])
+        with_nan = pts.copy()
+        with_nan[3] = np.nan
+        with pytest.raises(InvalidInputError, match="unit-norm"):
+            spherical_kmeans(with_nan, 2, pts[:2])
         with pytest.raises(InvalidInputError):
             spherical_kmeans(pts, 6, pts)
         with pytest.raises(InvalidInputError):

@@ -7,9 +7,12 @@ isolates the score/partition/posterior algebra from the encoder backward.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mice.errors import (
     DegenerateDistributionError,
@@ -32,6 +35,7 @@ from mice.model import (
     log_partition_estimates,
     posterior,
 )
+from mice.model import _combined, _route_heads, _score_core
 from mice.numcore import make_rng, normalize_rows
 from mice.prototypes import max_mahalanobis_centers
 
@@ -116,6 +120,112 @@ class TestQueue:
         q = EmbeddingQueue(2, 1, 2)
         with pytest.raises(DimensionMismatchError):
             q.push(np.ones((2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            q.push(np.ones((3, 2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 9),
+        sizes=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_push_equals_single_pushes(self, capacity, sizes, seed):
+        """One batch push per batch leaves buffer, head and fill bit-identical to
+        pushing its blocks one at a time, also when a batch exceeds the capacity."""
+        rng = make_rng(seed)
+        batched = EmbeddingQueue(capacity, 2, 3)
+        single = EmbeddingQueue(capacity, 2, 3)
+        for size in sizes:
+            blocks = rng.standard_normal((size, 2, 3))
+            batched.push(blocks)
+            for block in blocks:
+                single.push(block)
+            np.testing.assert_array_equal(batched.buffer, single.buffer)
+            assert (batched.head, batched.fill) == (single.head, single.fill)
+
+
+def naive_scores(f, v, queue, mu, tau, flags, include_positive=True):
+    """einsum + concatenate + np.logaddexp.reduce reference for the scoring core:
+    (l_pos, log_z, sig0, weights of the queue blocks)."""
+    if flags.a4_single_head:
+        f, v, queue = (np.repeat(b[..., :1, :], b.shape[-2], axis=-2) for b in (f, v, queue))
+    w = f if flags.a5_no_class_term else f + mu / np.linalg.norm(mu, axis=1, keepdims=True)
+    l_pos = np.einsum("bkd,bkd->bk", v, w) / tau
+    l_neg = np.einsum("fkd,bkd->bkf", queue, w) / tau
+    logits = np.concatenate((l_pos[..., np.newaxis], l_neg), axis=-1) if include_positive else l_neg
+    log_z = np.logaddexp.reduce(logits, axis=-1)
+    weights = np.exp(logits - log_z[..., np.newaxis])
+    if include_positive:
+        return l_pos, log_z, weights[..., 0], weights[..., 1:]
+    return l_pos, log_z, np.zeros_like(log_z), weights
+
+
+def core_scores(f, v, queue, mu, tau, flags, include_positive=True):
+    w = _combined(_route_heads(f, flags), mu, flags)
+    return _score_core(
+        w, _route_heads(v, flags), _route_heads(queue, flags), tau, include_positive
+    )
+
+
+def assert_core_matches(got, want):
+    """Core output equals the reference to 1e-12, finite, with weights summing to 1."""
+    weights = got.exps / got.total[..., np.newaxis]
+    for g, w in zip((got.l_pos, got.log_z, got.sig0, weights), want):
+        assert g.shape == w.shape
+        assert np.all(np.isfinite(g))
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got.sig0 + weights.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestScoreCore:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=st.integers(1, 7),
+        k=st.integers(1, 4),
+        d=st.integers(1, 6),
+        fill=st.sampled_from([1, 2, 5, 33]),
+        flags=st.sampled_from(
+            [PLAIN, ModelFlags(a4_single_head=True), ModelFlags(a5_no_class_term=True),
+             ModelFlags(a4_single_head=True, a5_no_class_term=True)]
+        ),
+        include_positive=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_reference(self, batch, k, d, fill, flags, include_positive, seed):
+        rng = make_rng(seed)
+        f, v = rng.standard_normal((2, batch, k, d))
+        queue = rng.standard_normal((fill, k, d))
+        mu = rng.standard_normal((k, d)) + 0.1
+        tau = float(rng.uniform(0.2, 2.0))
+        assert_core_matches(
+            core_scores(f, v, queue, mu, tau, flags, include_positive),
+            naive_scores(f, v, queue, mu, tau, flags, include_positive),
+        )
+
+    def test_large_logits_at_small_tau(self):
+        """tau = 0.05 with logits of magnitude ~1e3: finite, and equal to the reference."""
+        rng = make_rng(40)
+        f, v = 7.0 * rng.standard_normal((2, 16, 3, 5))
+        queue = 7.0 * rng.standard_normal((64, 3, 5))
+        mu = rng.standard_normal((3, 5))
+        for flags in (PLAIN, ModelFlags(a4_single_head=True), ModelFlags(a5_no_class_term=True)):
+            want = naive_scores(f, v, queue, mu, 0.05, flags)
+            assert np.max(np.abs(want[0])) > 500.0
+            assert_core_matches(core_scores(f, v, queue, mu, 0.05, flags), want)
+
+    def test_elbo_batch_allocates_one_logits_buffer(self):
+        """A default-shape call (B=256, K=4, d=8, F=1024) peaks near one (B, K, F) array."""
+        batch, k, d, fill = 256, 4, 8, 1024
+        f, v, g, queue, mu, omega = random_instance(seed=41, n=batch, k=k, d=d, fill=fill)
+        temps = Temperatures()
+        elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)  # warm numpy's internal caches
+        tracemalloc.start()
+        try:
+            elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * batch * k * fill * 8
 
 
 class TestGating:

@@ -1,0 +1,20 @@
+"""Runtime invariants in the package are real checks, not `assert` statements,
+which `python -O` strips."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mice").glob("*.py"))
+
+
+def test_sources_found():
+    assert SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert at lines {lines}"

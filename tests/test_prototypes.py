@@ -7,6 +7,8 @@ pairwise dot below -1/(K-1)); the latter is cross-checked by random search.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mice.errors import (
     InvalidInputError,
@@ -117,6 +119,40 @@ class TestAccumulator:
         acc = PrototypeAccumulator(3, 2)
         with pytest.raises(InvalidInputError):
             acc.add(np.zeros((2, 2)), 1)
+
+    def test_batch_labels_checked_before_any_update(self):
+        acc = PrototypeAccumulator(3, 2)
+        blocks = np.ones((4, 3, 2))
+        with pytest.raises(LabelOutOfRangeError):
+            acc.add(blocks, np.array([1, 2, 4, 1]))
+        with pytest.raises(InvalidInputError):
+            acc.add(blocks, np.array([1, 2, 3]))
+        with pytest.raises(InvalidInputError):
+            acc.add(blocks, np.array([1.0, 2.0, 3.0, 1.0]))
+        with pytest.raises(InvalidInputError):
+            acc.add(np.ones((4, 2, 2)), np.array([1, 2, 1, 1]))
+        assert not np.any(acc.sums) and not np.any(acc.counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_add_equals_single_adds(self, k, sizes, seed):
+        """A batch add gives sums and counts bit-identical to one add per row."""
+        rng = make_rng(seed)
+        batched = PrototypeAccumulator(k, 3)
+        single = PrototypeAccumulator(k, 3)
+        for size in sizes:
+            scales = 10.0 ** rng.integers(-8, 9, size=(size, 1, 1))  # uneven magnitudes
+            blocks = rng.standard_normal((size, k, 3)) * scales
+            labels = rng.integers(1, k + 1, size=size)
+            batched.add(blocks, labels)
+            for block, label in zip(blocks, labels):
+                single.add(block, int(label))
+        np.testing.assert_array_equal(batched.sums, single.sums)
+        np.testing.assert_array_equal(batched.counts, single.counts)
 
     def test_reset(self):
         acc = PrototypeAccumulator(2, 2)
