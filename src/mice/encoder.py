@@ -1,15 +1,29 @@
-"""Small tanh perceptron encoders.
+"""Small tanh perceptron encoders over one flat parameter vector.
 
 One shared trunk feeds K expert heads plus one gating head; every head output is
-l2-normalized onto the unit sphere. The teacher is a momentum (EMA) copy of the
-trunk + expert heads only — gating has no teacher. Gradients are computed by an
-explicit reverse pass over the forward tape; the normalization backward uses the
-exact Jacobian (I - u u^T / ||u||^2) / ||u||.
+l2-normalized onto the unit sphere. An encoder's parameters live in one float64
+vector, and a `Layout` derived from the dimensions names where each array sits
+in it, in this order:
+
+    trunk.{i}.weight (width_i, fan_in), trunk.{i}.bias (width_i,)
+    heads.weight (K*d, h), heads.bias (K*d,)   expert head k is rows k*d:(k+1)*d
+    gating.weight (d, h), gating.bias (d,)
+
+The same layout serves the student's parameters, its gradients and its SGD
+momentum buffer, so the optimizer step, the gradient merge and the EMA are
+vector operations, and the K expert heads run as one matmul each way. The
+teacher is a momentum (EMA) copy of the trunk + expert heads only — gating has
+no teacher — so its layout is the student's without the gating entries and its
+vector lines up with a prefix of the student's. Gradients are computed by an
+explicit reverse pass over the forward tape; the normalization backward uses
+the exact Jacobian (I - u u^T / ||u||^2) / ||u||.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,62 +37,106 @@ from .errors import (
 from .numcore import ZERO_NORM_EPS, row_norms
 
 
-@dataclass
-class AffineLayer:
-    """Dense layer y = W x + b; also reused as the (dW, db) holder in gradient bundles."""
+@dataclass(frozen=True)
+class Layout:
+    """Named (offset, shape) slots of one flat float64 parameter vector, in order."""
 
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    input_dim: int
+    hidden_widths: tuple[int, ...]
+    embed_dim: int
+    num_experts: int
+    gating: bool = True
+
+    @cached_property
+    def slots(self) -> dict[str, tuple[int, tuple[int, ...]]]:
+        shapes = []
+        fan_in = self.input_dim
+        for i, width in enumerate(self.hidden_widths):
+            shapes += [(f"trunk.{i}.weight", (width, fan_in)), (f"trunk.{i}.bias", (width,))]
+            fan_in = width
+        rows = self.num_experts * self.embed_dim
+        shapes += [("heads.weight", (rows, fan_in)), ("heads.bias", (rows,))]
+        if self.gating:
+            d = self.embed_dim
+            shapes += [("gating.weight", (d, fan_in)), ("gating.bias", (d,))]
+        slots, offset = {}, 0
+        for name, shape in shapes:
+            slots[name] = (offset, shape)
+            offset += math.prod(shape)
+        return slots
+
+    @cached_property
+    def size(self) -> int:
+        return sum(math.prod(shape) for _, shape in self.slots.values())
+
+    @cached_property
+    def teacher(self) -> "Layout":
+        """The teacher's layout: this one without the gating head, a prefix of it."""
+        return replace(self, gating=False)
 
 
-@dataclass
-class EncoderParams:
-    trunk: list[AffineLayer]
-    expert_heads: list[AffineLayer]
-    gating_head: AffineLayer
+class Params:
+    """One role's parameters (student, teacher or gradient): a flat float64 vector
+    and a named view into it per layout slot."""
 
-    @property
-    def num_experts(self) -> int:
-        return len(self.expert_heads)
+    def __init__(self, layout: Layout, vec: np.ndarray | None = None):
+        if vec is None:
+            vec = np.zeros(layout.size)
+        elif vec.dtype != np.float64 or vec.shape != (layout.size,):
+            raise DimensionMismatchError(
+                f"parameter vector {vec.dtype} {vec.shape} does not fit layout size {layout.size}"
+            )
+        self.layout = layout
+        self.vec = vec
+        self.arrays = {
+            name: vec[offset : offset + math.prod(shape)].reshape(shape)
+            for name, (offset, shape) in layout.slots.items()
+        }
+        self.trunk = [self.layer(f"trunk.{i}") for i in range(len(layout.hidden_widths))]
 
-    @property
-    def input_dim(self) -> int:
-        first = self.trunk[0] if self.trunk else self.expert_heads[0]
-        return first.weight.shape[1]
+    # The views point into vec, so a copy rebuilds them on its own vector.
+    def __getstate__(self):
+        return self.layout, self.vec
 
-    @property
-    def embed_dim(self) -> int:
-        return self.expert_heads[0].weight.shape[0]
+    def __setstate__(self, state):
+        self.__init__(*state)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    def layer(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(weight, bias) views of one layer: 'trunk.{i}', 'heads' or 'gating'."""
+        return self.arrays[f"{name}.weight"], self.arrays[f"{name}.bias"]
+
+    def teacher_copy(self) -> "Params":
+        """Copy of the trunk + expert heads, the teacher's starting point."""
+        layout = self.layout.teacher
+        return Params(layout, self.vec[: layout.size].copy())
 
 
-@dataclass
-class TeacherParams:
-    """EMA copy of the student's trunk + expert heads (no gating head)."""
-
-    trunk: list[AffineLayer]
-    expert_heads: list[AffineLayer]
-
-
-@dataclass
-class GradientBundle:
-    """Gradients in the same tree shape as EncoderParams."""
-
-    trunk: list[AffineLayer]
-    expert_heads: list[AffineLayer]
-    gating_head: AffineLayer
+def head_blocks(params: Params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) row-block views of each expert head in the stacked head."""
+    w, b = params.layer("heads")
+    d, k = params.layout.embed_dim, params.layout.num_experts
+    return [(w[i * d : (i + 1) * d], b[i * d : (i + 1) * d]) for i in range(k)]
 
 
 @dataclass
 class Tape:
-    """Forward intermediates needed by backward. `kind` is 'student' or 'gating'."""
+    """Forward intermediates needed by backward. `head` is 'heads' (student) or 'gating'."""
 
-    kind: str
+    head: str
+    layout: Layout
     x: np.ndarray  # (B, d_in)
     trunk_outputs: list[np.ndarray]  # post-tanh activations, one per trunk layer
-    raw: np.ndarray  # head outputs before normalization
-    norms: np.ndarray  # raw-output norms
+    norms: np.ndarray  # norms of the head outputs before normalization
     normalized: np.ndarray
     squeezed: bool  # input arrived as a single vector
+
+    @property
+    def output(self) -> np.ndarray:
+        """The embeddings as the caller sees them: without the batch axis for a single vector."""
+        return self.normalized[0] if self.squeezed else self.normalized
 
 
 @dataclass(frozen=True)
@@ -95,12 +153,11 @@ class AugmentConfig:
             raise InvalidInputError(f"rho {self.rho!r} must lie in [0, 1)")
 
 
-def _init_affine(out_dim: int, in_dim: int, rng: np.random.Generator) -> AffineLayer:
+def _init_affine(weight: np.ndarray, bias: np.ndarray, rng: np.random.Generator) -> None:
     # Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for weight and bias.
-    bound = 1.0 / np.sqrt(in_dim)
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    b = rng.uniform(-bound, bound, size=out_dim)
-    return AffineLayer(w, b)
+    bound = 1.0 / np.sqrt(weight.shape[1])
+    weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+    bias[...] = rng.uniform(-bound, bound, size=bias.shape)
 
 
 def init_params(
@@ -109,27 +166,16 @@ def init_params(
     embed_dim: int,
     num_experts: int,
     rng: np.random.Generator,
-) -> EncoderParams:
+) -> Params:
     """Seeded init. Draw order is fixed: trunk layers, expert heads 0..K-1, gating head."""
     if input_dim < 1 or embed_dim < 1 or num_experts < 1:
         raise InvalidInputError("input_dim, embed_dim and num_experts must be >= 1")
     if any(w < 1 for w in hidden_widths):
         raise InvalidInputError("hidden widths must be >= 1")
-    trunk = []
-    d = input_dim
-    for width in hidden_widths:
-        trunk.append(_init_affine(width, d, rng))
-        d = width
-    heads = [_init_affine(embed_dim, d, rng) for _ in range(num_experts)]
-    gating = _init_affine(embed_dim, d, rng)
-    return EncoderParams(trunk, heads, gating)
-
-
-def copy_teacher(params: EncoderParams) -> TeacherParams:
-    """Deep copy of trunk + expert heads, used as the teacher's starting point."""
-    trunk = [AffineLayer(l.weight.copy(), l.bias.copy()) for l in params.trunk]
-    heads = [AffineLayer(l.weight.copy(), l.bias.copy()) for l in params.expert_heads]
-    return TeacherParams(trunk, heads)
+    params = Params(Layout(input_dim, tuple(hidden_widths), embed_dim, num_experts))
+    for layer in params.trunk + head_blocks(params) + [params.layer("gating")]:
+        _init_affine(*layer, rng)
+    return params
 
 
 def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
@@ -141,84 +187,48 @@ def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
         raise DimensionMismatchError(
             f"input shape {np.shape(x)} incompatible with input_dim {input_dim}"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("encoder input must be finite")
     return a, squeezed
 
 
-def _trunk_forward(x: np.ndarray, trunk: list[AffineLayer]) -> list[np.ndarray]:
-    outputs = []
-    h = x
-    for layer in trunk:
-        h = np.tanh(h @ layer.weight.T + layer.bias)
-        outputs.append(h)
-    return outputs
-
-
-def _head_forward(h: np.ndarray, head: AffineLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    raw = h @ head.weight.T + head.bias
+def _forward(x, params: Params, head: str) -> Tape:
+    """Trunk, then the stacked expert heads ('heads', (B, K, d)) or the gating head ((B, d))."""
+    layout = params.layout
+    xb, squeezed = _as_batch(x, layout.input_dim)
+    trunk_outputs = []
+    h = xb
+    for w, b in params.trunk:
+        h = np.tanh(h @ w.T + b)
+        trunk_outputs.append(h)
+    w, b = params.layer(head)
+    raw = h @ w.T + b
+    if head == "heads":
+        raw = raw.reshape(raw.shape[0], layout.num_experts, layout.embed_dim)
     norms = row_norms(raw)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroNormError("head output collapsed to the zero vector")
-    return raw, norms, raw / norms[..., np.newaxis]
+    if (norms <= ZERO_NORM_EPS).any():
+        raise ZeroNormError(f"{head} output collapsed to the zero vector")
+    return Tape(head, layout, xb, trunk_outputs, norms, raw / norms[..., np.newaxis], squeezed)
 
 
-def forward_student(x, params: EncoderParams) -> tuple[np.ndarray, Tape]:
+def forward_student(x, params: Params) -> tuple[np.ndarray, Tape]:
     """All K unit-norm expert embeddings: (B, K, d), or (K, d) for a single vector."""
-    xb, squeezed = _as_batch(x, params.input_dim)
-    trunk_outputs = _trunk_forward(xb, params.trunk)
-    h = trunk_outputs[-1] if trunk_outputs else xb
-    raw = np.stack([h @ head.weight.T + head.bias for head in params.expert_heads], axis=1)
-    norms = row_norms(raw)  # (B, K)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroNormError("expert head output collapsed to the zero vector")
-    f = raw / norms[..., np.newaxis]
-    tape = Tape("student", xb, trunk_outputs, raw, norms, f, squeezed)
-    return (f[0] if squeezed else f), tape
+    tape = _forward(x, params, "heads")
+    return tape.output, tape
 
 
-def forward_teacher(x, teacher: TeacherParams) -> np.ndarray:
+def forward_teacher(x, teacher: Params) -> np.ndarray:
     """Teacher expert embeddings; no tape — teacher outputs are always treated as constants."""
-    first = teacher.trunk[0] if teacher.trunk else teacher.expert_heads[0]
-    xb, squeezed = _as_batch(x, first.weight.shape[1])
-    trunk_outputs = _trunk_forward(xb, teacher.trunk)
-    h = trunk_outputs[-1] if trunk_outputs else xb
-    raw = np.stack([h @ head.weight.T + head.bias for head in teacher.expert_heads], axis=1)
-    norms = row_norms(raw)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroNormError("teacher head output collapsed to the zero vector")
-    v = raw / norms[..., np.newaxis]
-    return v[0] if squeezed else v
+    return _forward(x, teacher, "heads").output
 
 
-def forward_gating(x, params: EncoderParams) -> tuple[np.ndarray, Tape]:
+def forward_gating(x, params: Params) -> tuple[np.ndarray, Tape]:
     """Unit-norm gating embedding: (B, d), or (d,) for a single vector."""
-    xb, squeezed = _as_batch(x, params.input_dim)
-    trunk_outputs = _trunk_forward(xb, params.trunk)
-    h = trunk_outputs[-1] if trunk_outputs else xb
-    raw, norms, g = _head_forward(h, params.gating_head)
-    tape = Tape("gating", xb, trunk_outputs, raw, norms, g, squeezed)
-    return (g[0] if squeezed else g), tape
+    tape = _forward(x, params, "gating")
+    return tape.output, tape
 
 
-def _normalization_backward(raw: np.ndarray, norms: np.ndarray, f: np.ndarray, gf: np.ndarray) -> np.ndarray:
-    # Jacobian of u -> u/||u||: (g - f (f.g)) / ||u||.
-    inner = np.sum(gf * f, axis=-1, keepdims=True)
-    return (gf - f * inner) / norms[..., np.newaxis]
-
-
-def _zero_bundle(params: EncoderParams) -> GradientBundle:
-    trunk = [AffineLayer(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.trunk]
-    heads = [
-        AffineLayer(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.expert_heads
-    ]
-    gating = AffineLayer(
-        np.zeros_like(params.gating_head.weight), np.zeros_like(params.gating_head.bias)
-    )
-    return GradientBundle(trunk, heads, gating)
-
-
-def backward(tape: Tape, upstream, params: EncoderParams) -> GradientBundle:
+def backward(tape: Tape, upstream, params: Params) -> Params:
     """Propagate upstream gradients on the normalized embeddings back to all parameters.
 
     Args:
@@ -229,8 +239,8 @@ def backward(tape: Tape, upstream, params: EncoderParams) -> GradientBundle:
         params: the parameters used in the forward call.
 
     Returns:
-        GradientBundle covering trunk, expert heads and gating head; the head
-        family not on this tape gets zero gradients.
+        Gradients in the parameters' layout; the head family not on this tape
+        gets zero gradients.
     """
     g = np.asarray(upstream, dtype=np.float64)
     if tape.squeezed and g.ndim == tape.normalized.ndim - 1:
@@ -239,92 +249,50 @@ def backward(tape: Tape, upstream, params: EncoderParams) -> GradientBundle:
         raise TapeMismatchError(
             f"upstream shape {g.shape} does not match tape embeddings {tape.normalized.shape}"
         )
-    bundle = _zero_bundle(params)
-    h_last = tape.trunk_outputs[-1] if tape.trunk_outputs else tape.x
-    d_h = np.zeros_like(h_last)
+    if tape.layout != params.layout:
+        raise TapeMismatchError("tape was built for a different parameter layout")
+    grads = Params(params.layout)
 
-    if tape.kind == "student":
-        if len(params.expert_heads) != tape.raw.shape[1]:
-            raise TapeMismatchError("tape was built for a different number of expert heads")
-        d_raw = _normalization_backward(tape.raw, tape.norms, tape.normalized, g)
-        for k, head in enumerate(params.expert_heads):
-            du = d_raw[:, k, :]
-            bundle.expert_heads[k].weight += du.T @ h_last
-            bundle.expert_heads[k].bias += du.sum(axis=0)
-            d_h += du @ head.weight
-    elif tape.kind == "gating":
-        du = _normalization_backward(tape.raw, tape.norms, tape.normalized, g)
-        bundle.gating_head.weight += du.T @ h_last
-        bundle.gating_head.bias += du.sum(axis=0)
-        d_h += du @ params.gating_head.weight
-    else:  # pragma: no cover - tapes are only built by this module
-        raise TapeMismatchError(f"unknown tape kind {tape.kind!r}")
+    # Jacobian of u -> u/||u||: (g - f (f.g)) / ||u||; the K heads stack into one row.
+    f = tape.normalized
+    du = (g - f * (g * f).sum(axis=-1, keepdims=True)) / tape.norms[..., np.newaxis]
+    du = du.reshape(du.shape[0], -1)
+    h_last = tape.trunk_outputs[-1] if tape.trunk_outputs else tape.x
+    gw, gb = grads.layer(tape.head)
+    np.matmul(du.T, h_last, out=gw)
+    du.sum(axis=0, out=gb)
+    d_h = du @ params.layer(tape.head)[0]
 
     # Trunk: walk layers in reverse; tanh' = 1 - tanh^2 recovered from saved outputs.
     for i in range(len(params.trunk) - 1, -1, -1):
         h_out = tape.trunk_outputs[i]
         h_in = tape.trunk_outputs[i - 1] if i > 0 else tape.x
         dz = d_h * (1.0 - h_out * h_out)
-        bundle.trunk[i].weight += dz.T @ h_in
-        bundle.trunk[i].bias += dz.sum(axis=0)
-        d_h = dz @ params.trunk[i].weight
-    return bundle
+        gw, gb = grads.trunk[i]
+        np.matmul(dz.T, h_in, out=gw)
+        dz.sum(axis=0, out=gb)
+        d_h = dz @ params.trunk[i][0]
+    return grads
 
 
-def add_bundles(a: GradientBundle, b: GradientBundle) -> GradientBundle:
+def add_bundles(a: Params, b: Params) -> Params:
     """Elementwise a += b in place (used to merge student-path and gating-path gradients)."""
-    for la, lb in zip(a.trunk, b.trunk):
-        la.weight += lb.weight
-        la.bias += lb.bias
-    for la, lb in zip(a.expert_heads, b.expert_heads):
-        la.weight += lb.weight
-        la.bias += lb.bias
-    a.gating_head.weight += b.gating_head.weight
-    a.gating_head.bias += b.gating_head.bias
+    if a.layout != b.layout:
+        raise DimensionMismatchError("gradients of different parameter layouts")
+    a.vec += b.vec
     return a
 
 
-def param_arrays(params: EncoderParams) -> list[np.ndarray]:
-    """Live parameter arrays in a fixed order (trunk, expert heads, gating head)."""
-    out: list[np.ndarray] = []
-    for layer in params.trunk:
-        out.extend((layer.weight, layer.bias))
-    for layer in params.expert_heads:
-        out.extend((layer.weight, layer.bias))
-    out.extend((params.gating_head.weight, params.gating_head.bias))
-    return out
-
-
-def bundle_arrays(bundle: GradientBundle) -> list[np.ndarray]:
-    """Gradient arrays in the same order as param_arrays."""
-    out: list[np.ndarray] = []
-    for layer in bundle.trunk:
-        out.extend((layer.weight, layer.bias))
-    for layer in bundle.expert_heads:
-        out.extend((layer.weight, layer.bias))
-    out.extend((bundle.gating_head.weight, bundle.gating_head.bias))
-    return out
-
-
-def ema_update(teacher: TeacherParams, student: EncoderParams, momentum: float) -> TeacherParams:
-    """Exponential moving average t <- m t + (1-m) s over trunk + expert heads."""
+def ema_update(teacher: Params, student: Params, momentum: float) -> Params:
+    """Exponential moving average t <- m t + (1-m) s over trunk + expert heads, in place."""
     if not 0.0 <= momentum < 1.0:
         raise InvalidMomentumError(f"momentum {momentum!r} must lie in [0, 1)")
-    trunk = [
-        AffineLayer(
-            momentum * t.weight + (1.0 - momentum) * s.weight,
-            momentum * t.bias + (1.0 - momentum) * s.bias,
-        )
-        for t, s in zip(teacher.trunk, student.trunk)
-    ]
-    heads = [
-        AffineLayer(
-            momentum * t.weight + (1.0 - momentum) * s.weight,
-            momentum * t.bias + (1.0 - momentum) * s.bias,
-        )
-        for t, s in zip(teacher.expert_heads, student.expert_heads)
-    ]
-    return TeacherParams(trunk, heads)
+    if teacher.layout != student.layout.teacher:
+        raise DimensionMismatchError("teacher layout is not the student's without gating")
+    t = teacher.vec
+    t *= momentum
+    t += (1.0 - momentum) * student.vec[: t.size]
+    return teacher
 
 
 def augment(x, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InvalidInputError,
-    LengthMismatchError,
-    NonPositiveTemperatureError,
-    ZeroNormError,
-)
+from .errors import EmptyInputError, InvalidInputError, ZeroNormError
 
 # Norms at or below this are treated as zero (degenerate direction).
 ZERO_NORM_EPS = 1e-12
@@ -44,14 +38,6 @@ def as_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix entries must be finite")
     return m
-
-
-def dot(u, v) -> float:
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape[0] != v.shape[0]:
-        raise LengthMismatchError(f"lengths {u.shape[0]} and {v.shape[0]} differ")
-    return float(np.dot(u, v))
 
 
 # Inputs whose computed norm is already this close to 1.0 are returned unchanged.
@@ -115,17 +101,6 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Max-shifted logsumexp over the last axis of a batched array (no validation)."""
     m = np.max(a, axis=-1, keepdims=True)
     return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(a - m), axis=-1))
-
-
-def softmax_t(logits, temperature: float) -> np.ndarray:
-    """Temperature softmax exp(l_i/T - LSE(l/T)); entries positive, row sums 1 within 1e-12."""
-    if not temperature > 0.0:
-        raise NonPositiveTemperatureError(f"temperature {temperature!r} must be > 0")
-    v = as_vector(logits)
-    if v.size == 0:
-        raise EmptyInputError("softmax of an empty sequence")
-    u = v / temperature
-    return np.exp(u - log_sum_exp(u))
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

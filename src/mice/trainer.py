@@ -2,9 +2,16 @@
 
 Each step draws three augmented views per point (student, teacher, gating),
 computes the batch ELBO against the queue snapshot, takes one SGD step on the
-student trunk/heads and the raw prototypes, EMA-updates the teacher, enqueues
-the teacher blocks, and buckets them by hard assignment. Once per epoch the
+student encoder and the raw prototypes, EMA-updates the teacher, enqueues the
+teacher blocks, and buckets them by hard assignment. Once per epoch the
 prototypes are replaced by their closed-form update from the buckets.
+
+The student, its gradient and its SGD momentum buffer are flat vectors in one
+encoder `Layout`, and the teacher's vector lines up with a prefix of it, so the
+optimizer step and the EMA are a few whole-vector operations. Checkpoints keep
+the v1 format, which stores every array by name with each expert head as its
+own weight/bias pair; those are row blocks of the stacked head, written and read
+as views. Loading validates every section against the stored config.
 
 All randomness (init, augmentation, shuffling) flows through one PCG64 stream
 owned by the state, so fixed seeds reproduce runs bitwise and a checkpointed
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -145,26 +153,44 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        kwargs = dict(d)
-        for name in ("lr_milestones", "hidden_widths"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
+        """Inverse of to_dict; unknown keys and values of the wrong type are a ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a mapping, got {type(d).__name__}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        kwargs = {}
+        for name, value in d.items():
+            default = cls.__dataclass_fields__[name].default
+            if isinstance(default, tuple):
+                ok = isinstance(value, (list, tuple)) and all(
+                    _of_type(v, type(default[0])) for v in value
+                )
+            else:
+                ok = _of_type(value, type(default))
+            if not ok:
+                raise ConfigError(f"config key {name!r}: {value!r} has the wrong type")
+            kwargs[name] = tuple(value) if isinstance(default, tuple) else value
         return cls(**kwargs)
+
+
+def _of_type(value, kind: type) -> bool:
+    """JSON value check: bools are not numbers, and an int is also a float."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, int) or (kind is float and isinstance(value, float))
 
 
 @dataclass
 class TrainState:
     config: TrainConfig
-    student: enc.EncoderParams
-    teacher: enc.TeacherParams
+    student: enc.Params
+    teacher: enc.Params
     mu: np.ndarray
     omega: np.ndarray
     queue: EmbeddingQueue
     accumulator: PrototypeAccumulator
-    opt_student: list[np.ndarray]
+    opt_student: np.ndarray  # SGD momentum buffer, laid out like student.vec
     opt_mu: np.ndarray
     epoch: int
     rng: np.random.Generator
@@ -188,7 +214,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         config.num_clusters,
         rng,
     )
-    teacher = enc.copy_teacher(student)
+    teacher = student.teacher_copy()
     omega = max_mahalanobis_centers(config.num_clusters, config.embed_dim)
     mu = normalize_rows(rng.uniform(-1.0, 1.0, size=(config.num_clusters, config.embed_dim)))
     queue = EmbeddingQueue(config.queue_size, config.num_clusters, config.embed_dim)
@@ -196,7 +222,6 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     warmup = enc.augment(dataset.points[:n_prefill], rng, config.augmentation)
     queue.push(enc.forward_teacher(warmup, teacher))
     acc_ = PrototypeAccumulator(config.num_clusters, config.embed_dim)
-    buffers = [np.zeros_like(p) for p in enc.param_arrays(student)]
     return TrainState(
         config=config,
         student=student,
@@ -205,7 +230,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         omega=omega,
         queue=queue,
         accumulator=acc_,
-        opt_student=buffers,
+        opt_student=np.zeros_like(student.vec),
         opt_mu=np.zeros_like(mu),
         epoch=0,
         rng=rng,
@@ -243,13 +268,10 @@ def train_step(state: TrainState, batch: np.ndarray) -> dict:
         enc.backward(tape_g, result.grad_g, state.student),
     )
     lr = lr_at_epoch(cfg, state.epoch)
-    for param, grad, buf in zip(
-        enc.param_arrays(state.student), enc.bundle_arrays(grads), state.opt_student
-    ):
-        _sgd_step(param, grad, buf, lr, cfg)
+    _sgd_step(state.student.vec, grads.vec, state.opt_student, lr, cfg)
     _sgd_step(state.mu, result.grad_mu, state.opt_mu, lr, cfg)
 
-    state.teacher = enc.ema_update(state.teacher, state.student, cfg.ema_momentum)
+    enc.ema_update(state.teacher, state.student, cfg.ema_momentum)
     labels = hard_assign(result.posterior)
     state.queue.push(v)
     state.accumulator.add(v, labels)
@@ -393,8 +415,7 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
             enc.backward(tape_f, result.grad_f, state.student),
             enc.backward(tape_g, result.grad_g, state.student),
         )
-        for param, grad in zip(enc.param_arrays(state.student), enc.bundle_arrays(grads)):
-            param -= lr * grad
+        state.student.vec -= lr * grads.vec
         state.mu = state.mu - lr * result.grad_mu
         f_new, _ = enc.forward_student(points, state.student)
         g_new, _ = enc.forward_gating(points, state.student)
@@ -409,6 +430,10 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
 # ---------------------------------------------------------------------------
 # Checkpoints: magic "MICE", u32 version, tagged sections, little-endian f64.
 # ---------------------------------------------------------------------------
+
+
+_ARRAY_SECTIONS = ("student", "teacher", "mu", "omega", "queue", "opt", "accum")
+_INT64_MAX = 2**63 - 1
 
 
 def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> bytes:
@@ -438,46 +463,50 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
+    def unpack(self, fmt: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def name(self) -> str:
+        raw = self.take(self.unpack("<H"))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(f"undecodable name {raw!r}") from exc
 
 
 def _unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
     r = _Reader(payload)
     out: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u16()).decode("utf-8")
-        ndim = r.u8()
-        shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
-        out[name] = arr.astype(np.float64)
+    for _ in range(r.unpack("<I")):
+        name = r.name()
+        shape = tuple(r.unpack("<I") for _ in range(r.unpack("<B")))
+        flat = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            out[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CorruptCheckpointError(f"array {name!r}: {exc}") from exc
     if r.pos != len(payload):
         raise CorruptCheckpointError("trailing bytes in array section")
     return out
 
 
-def _named_params(params, prefix: str) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for i, layer in enumerate(params.trunk):
-        out.append((f"{prefix}.trunk.{i}.weight", layer.weight))
-        out.append((f"{prefix}.trunk.{i}.bias", layer.bias))
-    for i, layer in enumerate(params.expert_heads):
-        out.append((f"{prefix}.head.{i}.weight", layer.weight))
-        out.append((f"{prefix}.head.{i}.bias", layer.bias))
-    if hasattr(params, "gating_head"):
-        out.append((f"{prefix}.gating.weight", params.gating_head.weight))
-        out.append((f"{prefix}.gating.bias", params.gating_head.bias))
-    return out
+def _v1_arrays(params: enc.Params, prefix: str) -> list[tuple[str, np.ndarray]]:
+    """Named views of params in the v1 array order: trunk layers, each expert head
+    as its own weight/bias pair (row blocks of the stacked head), gating head."""
+    layers = [(f"trunk.{i}", layer) for i, layer in enumerate(params.trunk)]
+    layers += [(f"head.{k}", layer) for k, layer in enumerate(enc.head_blocks(params))]
+    if params.layout.gating:
+        layers.append(("gating", params.layer("gating")))
+    return [
+        (f"{prefix}.{name}.{part}", array)
+        for name, (weight, bias) in layers
+        for part, array in (("weight", weight), ("bias", bias))
+    ]
+
+
+def _opt_arrays(buffer: np.ndarray, layout: enc.Layout) -> list[tuple[str, np.ndarray]]:
+    views = _v1_arrays(enc.Params(layout, buffer), "opt")
+    return [(f"opt.student.{i}", view) for i, (_, view) in enumerate(views)]
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -488,12 +517,12 @@ def save_checkpoint(state: TrainState, path) -> None:
         "queue_fill": state.queue.fill,
         "accum_counts": state.accumulator.counts.tolist(),
     }
-    opt = [(f"opt.student.{i}", buf) for i, buf in enumerate(state.opt_student)]
+    opt = _opt_arrays(state.opt_student, state.student.layout)
     sections: list[tuple[str, bytes]] = [
         ("config", json.dumps(state.config.to_dict(), sort_keys=True).encode("utf-8")),
         ("meta", json.dumps(meta, sort_keys=True).encode("utf-8")),
-        ("student", _pack_arrays(_named_params(state.student, "student"))),
-        ("teacher", _pack_arrays(_named_params(state.teacher, "teacher"))),
+        ("student", _pack_arrays(_v1_arrays(state.student, "student"))),
+        ("teacher", _pack_arrays(_v1_arrays(state.teacher, "teacher"))),
         ("mu", _pack_arrays([("mu", state.mu)])),
         ("omega", _pack_arrays([("omega", state.omega)])),
         ("queue", _pack_arrays([("queue.buffer", state.queue.buffer)])),
@@ -514,44 +543,49 @@ def save_checkpoint(state: TrainState, path) -> None:
     Path(path).write_bytes(out.getvalue())
 
 
-def _rebuild_params(arrays: dict[str, np.ndarray], prefix: str, config: TrainConfig, gating: bool):
-    trunk = [
-        enc.AffineLayer(
-            arrays[f"{prefix}.trunk.{i}.weight"].copy(), arrays[f"{prefix}.trunk.{i}.bias"].copy()
+def _check_arrays(section: str, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """A section must hold exactly the expected arrays, each in the shape the config needs."""
+    if set(arrays) != set(shapes):
+        raise CorruptCheckpointError(
+            f"{section} section: missing arrays {sorted(set(shapes) - set(arrays))}, "
+            f"unknown arrays {sorted(set(arrays) - set(shapes))}"
         )
-        for i in range(len(config.hidden_widths))
-    ]
-    heads = [
-        enc.AffineLayer(
-            arrays[f"{prefix}.head.{i}.weight"].copy(), arrays[f"{prefix}.head.{i}.bias"].copy()
-        )
-        for i in range(config.num_clusters)
-    ]
-    if gating:
-        head = enc.AffineLayer(
-            arrays[f"{prefix}.gating.weight"].copy(), arrays[f"{prefix}.gating.bias"].copy()
-        )
-        return enc.EncoderParams(trunk, heads, head)
-    return enc.TeacherParams(trunk, heads)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise CorruptCheckpointError(
+                f"array {name!r} has shape {arrays[name].shape}, the config needs {shape}"
+            )
+
+
+def _check_int(what: str, value, low: int, high: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise CorruptCheckpointError(f"{what} {value!r} is not an integer in [{low}, {high}]")
+    return value
 
 
 def load_checkpoint(path) -> TrainState:
-    """Inverse of save_checkpoint; rejects bad magic, wrong version, truncation."""
+    """Inverse of save_checkpoint.
+
+    Rejects bad magic, a wrong version, truncation and trailing bytes, and
+    validates the contents against the stored config: the names and shapes of
+    every array, the meta keys, the queue position, the accumulator counts and
+    the RNG state. Every malformed file ends in CorruptCheckpointError (or
+    VersionMismatchError).
+    """
     data = Path(path).read_bytes()
     r = _Reader(data)
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CorruptCheckpointError("bad magic bytes")
-    version = r.u32()
+    version = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     sections: dict[str, bytes] = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u16()).decode("utf-8")
-        sections[name] = r.take(r.u64())
+    for _ in range(r.unpack("<I")):
+        name = r.name()
+        sections[name] = r.take(r.unpack("<Q"))
     if r.pos != len(data):
         raise CorruptCheckpointError("trailing bytes after final section")
-    required = {"config", "meta", "student", "teacher", "mu", "omega", "queue", "opt", "accum", "rng"}
-    missing = required - set(sections)
+    missing = {"config", "meta", "rng", *_ARRAY_SECTIONS} - set(sections)
     if missing:
         raise CorruptCheckpointError(f"missing sections: {sorted(missing)}")
 
@@ -561,34 +595,70 @@ def load_checkpoint(path) -> TrainState:
         rng_state = json.loads(sections["rng"].decode("utf-8"))
     except (ValueError, ConfigError) as exc:
         raise CorruptCheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
+    meta_keys = {"epoch", "queue_head", "queue_fill", "accum_counts"}
+    if not isinstance(meta, dict) or not meta_keys <= set(meta):
+        raise CorruptCheckpointError(f"meta section needs the keys {sorted(meta_keys)}")
+    arrays = {name: _unpack_arrays(sections[name]) for name in _ARRAY_SECTIONS}
 
-    student = _rebuild_params(_unpack_arrays(sections["student"]), "student", config, gating=True)
-    teacher = _rebuild_params(_unpack_arrays(sections["teacher"]), "teacher", config, gating=False)
-    mu = _unpack_arrays(sections["mu"])["mu"].copy()
-    omega = _unpack_arrays(sections["omega"])["omega"].copy()
-    queue = EmbeddingQueue.from_state(
-        _unpack_arrays(sections["queue"])["queue.buffer"], meta["queue_head"], meta["queue_fill"]
+    # The config does not record the input dimension; the first student layer does.
+    k, d, widths = config.num_clusters, config.embed_dim, config.hidden_widths
+    first = arrays["student"].get("student.trunk.0.weight" if widths else "student.head.0.weight")
+    rows = widths[0] if widths else d
+    if first is None or first.ndim != 2 or first.shape[0] != rows or first.shape[1] < 1:
+        raise CorruptCheckpointError("first student layer is missing or does not fit the config")
+    layout = enc.Layout(first.shape[1], widths, d, k)
+    if 8 * layout.size > len(sections["student"]):
+        raise CorruptCheckpointError("student section is too short for the config")
+    student, teacher = enc.Params(layout), enc.Params(layout.teacher)
+    opt_student = np.zeros(layout.size)
+    views = {
+        "student": _v1_arrays(student, "student"),
+        "teacher": _v1_arrays(teacher, "teacher"),
+        "opt": _opt_arrays(opt_student, layout),
+    }
+    shapes = {section: {name: v.shape for name, v in pairs} for section, pairs in views.items()}
+    shapes["opt"]["opt.mu"] = (k, d)
+    shapes.update(
+        mu={"mu": (k, d)},
+        omega={"omega": (k, d)},
+        queue={"queue.buffer": (config.queue_size, k, d)},
+        accum={"accum.sums": (k, d)},
     )
-    opt_arrays = _unpack_arrays(sections["opt"])
-    opt_student = [
-        opt_arrays[f"opt.student.{i}"].copy() for i in range(len(opt_arrays) - 1)
-    ]
-    accumulator = PrototypeAccumulator(config.num_clusters, config.embed_dim)
-    accumulator.sums = _unpack_arrays(sections["accum"])["accum.sums"].copy()
-    accumulator.counts = np.asarray(meta["accum_counts"], dtype=np.int64)
+    for section, expected in shapes.items():
+        _check_arrays(section, arrays[section], expected)
+    for section, pairs in views.items():
+        for name, view in pairs:
+            view[...] = arrays[section][name]
+
+    queue = EmbeddingQueue.from_state(
+        arrays["queue"]["queue.buffer"],
+        _check_int("queue_head", meta["queue_head"], 0, config.queue_size - 1),
+        _check_int("queue_fill", meta["queue_fill"], 0, config.queue_size),
+    )
+    counts = meta["accum_counts"]
+    if not isinstance(counts, list) or len(counts) != k:
+        raise CorruptCheckpointError(f"accum_counts {counts!r} is not a list of {k} counts")
+    accumulator = PrototypeAccumulator(k, d)
+    accumulator.sums = arrays["accum"]["accum.sums"]
+    accumulator.counts = np.array(
+        [_check_int("accum count", c, 0, _INT64_MAX) for c in counts], dtype=np.int64
+    )
     rng = make_rng(0)
-    rng.bit_generator.state = rng_state
+    try:
+        rng.bit_generator.state = rng_state
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise CorruptCheckpointError(f"unusable RNG state: {exc}") from exc
     return TrainState(
         config=config,
         student=student,
         teacher=teacher,
-        mu=mu,
-        omega=omega,
+        mu=arrays["mu"]["mu"],
+        omega=arrays["omega"]["omega"],
         queue=queue,
         accumulator=accumulator,
         opt_student=opt_student,
-        opt_mu=opt_arrays["opt.mu"].copy(),
-        epoch=int(meta["epoch"]),
+        opt_mu=arrays["opt"]["opt.mu"],
+        epoch=_check_int("epoch", meta["epoch"], 0, _INT64_MAX),
         rng=rng,
     )
 

@@ -16,7 +16,7 @@ from . import encoder as enc
 from .baselines import infonce_loss, kmeans_equivalence_check
 from .data import Dataset
 from .errors import InvalidInputError
-from .model import ModelFlags, Temperatures, elbo_batch
+from .model import ModelFlags, Temperatures, elbo_batch, log_partition_estimates
 from .numcore import make_rng, normalize_rows
 from .prototypes import max_mahalanobis_centers
 from .trainer import TrainConfig, init_state
@@ -84,7 +84,7 @@ def gradient_instance(seed: int = 7):
     batch = rng.standard_normal((4, 8))
     teacher_in = rng.standard_normal((4, 8))
     queue = normalize_rows(rng.standard_normal((8, 3, 4)))
-    teacher = enc.copy_teacher(enc.init_params(8, [16], 4, 3, rng))
+    teacher = enc.init_params(8, [16], 4, 3, rng).teacher_copy()
     v = enc.forward_teacher(teacher_in, teacher)
     return params, mu, omega, batch, v, queue
 
@@ -104,12 +104,12 @@ def check_gradients(
     f, tape_f = enc.forward_student(batch, params)
     g, tape_g = enc.forward_gating(batch, params)
     result = elbo_batch(f, v, g, queue, mu, omega, temps, flags)
-    bundle = enc.add_bundles(
+    grads = enc.add_bundles(
         enc.backward(tape_f, result.grad_f, params),
         enc.backward(tape_g, result.grad_g, params),
     )
-    analytic = enc.bundle_arrays(bundle) + [result.grad_mu]
-    numeric = _numeric_gradient(loss_fn, enc.param_arrays(params) + [mu])
+    analytic = [grads.vec, result.grad_mu]
+    numeric = _numeric_gradient(loss_fn, [params.vec, mu])
     worst = 0.0
     for a, n in zip(analytic, numeric):
         rel = np.abs(a - n) / np.maximum(1e-6, np.abs(a) + np.abs(n))
@@ -211,6 +211,7 @@ def check_partition_bound(instances: int = 1000, seed: int = 19) -> CheckResult:
     """log(Z / Zhat) <= log N - log(effective count) + 4/tau for random states,
     with the estimator run both with and without the positive term."""
     rng = make_rng(seed)
+    flags = ModelFlags()
     worst_margin = -np.inf
     for _ in range(instances):
         n = int(rng.integers(4, 65))
@@ -223,18 +224,20 @@ def check_partition_bound(instances: int = 1000, seed: int = 19) -> CheckResult:
         mu = normalize_rows(rng.standard_normal((k, d)))
         own = int(rng.integers(0, n))
         queue_idx = rng.choice(n, size=fill, replace=False)
-        w = f + mu
-        logits_all = np.einsum("ikd,kd->ki", v_all, w) / tau  # (K, N)
-        log_z = np.log(np.sum(np.exp(logits_all), axis=1))
-        pos = logits_all[:, own]
-        queue_logits = logits_all[:, queue_idx]
+        positive, queue = v_all[own], v_all[queue_idx]
+        # exact: the sum over all N blocks, the own one among them
+        log_z = log_partition_estimates(
+            f, positive, v_all, mu, tau, flags, include_positive=False
+        )
         # queue-only estimator: effective count = fill
-        est_queue = np.log(np.sum(np.exp(queue_logits), axis=1))
+        est_queue = log_partition_estimates(
+            f, positive, queue, mu, tau, flags, include_positive=False
+        )
         bound_queue = np.log(n) - np.log(fill) + 4.0 / tau
         margin = float(np.max((log_z - est_queue) - bound_queue))
         worst_margin = max(worst_margin, margin)
         # positive + queue estimator: effective count = fill + 1
-        est_full = np.log(np.exp(pos) + np.sum(np.exp(queue_logits), axis=1))
+        est_full = log_partition_estimates(f, positive, queue, mu, tau, flags)
         bound_full = np.log(n) - np.log(fill + 1) + 4.0 / tau
         margin = float(np.max((log_z - est_full) - bound_full))
         worst_margin = max(worst_margin, margin)

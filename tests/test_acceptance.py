@@ -15,7 +15,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mice import encoder as enc
 from mice import verify
 from mice.baselines import two_stage_pipeline
 from mice.cli import cli_main
@@ -302,13 +301,11 @@ def test_c11_determinism_and_persistence(tmp_path):
     loaded = load_checkpoint(ckpt)
 
     def arrays(state):
-        out = list(enc.param_arrays(state.student))
-        for layer in state.teacher.trunk + state.teacher.expert_heads:
-            out.extend((layer.weight, layer.bias))
-        out += [state.mu, state.omega, state.queue.snapshot(), state.opt_mu]
-        out += state.opt_student
-        out += [state.accumulator.sums, state.accumulator.counts]
-        return out
+        return [
+            state.student.vec, state.teacher.vec, state.mu, state.omega,
+            state.queue.snapshot(), state.opt_mu, state.opt_student,
+            state.accumulator.sums, state.accumulator.counts,
+        ]
 
     for a, b in zip(arrays(loaded), arrays(half_state), strict=True):
         np.testing.assert_array_equal(a, b)

@@ -2,31 +2,31 @@
 
 The backward pass is checked two ways: a fully hand-derived single-layer chain
 (where dW works out to 1/sqrt(2)) and central finite differences on a random
-multi-layer net with a linear readout loss. The augmentation operator is checked
-against its analytic first and second moments.
+multi-layer net with a linear readout loss. All parameters live in one flat
+vector, so the layout tests check that every named array is a live view into it,
+also after a deep copy, and the EMA is checked against m t + (1-m) s bit for bit.
+The augmentation operator is checked against its analytic first and second moments.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from mice.encoder import (
-    AffineLayer,
     AugmentConfig,
-    EncoderParams,
-    GradientBundle,
+    Layout,
+    Params,
     add_bundles,
     augment,
     backward,
-    bundle_arrays,
-    copy_teacher,
     ema_update,
     forward_gating,
     forward_student,
     forward_teacher,
+    head_blocks,
     init_params,
-    param_arrays,
 )
 from mice.errors import (
     DimensionMismatchError,
@@ -45,9 +45,9 @@ class TestForward:
     def test_zero_weight_head_emits_its_bias(self):
         """Zero weights + unit bias e1: every input maps exactly to e1."""
         e1 = np.array([1.0, 0.0, 0.0])
-        head = AffineLayer(np.zeros((3, 2)), e1.copy())
-        gating = AffineLayer(np.zeros((3, 2)), e1.copy())
-        params = EncoderParams([], [head], gating)
+        params = Params(Layout(2, (), 3, 1))  # all zeros
+        params["heads.bias"][:] = e1
+        params["gating.bias"][:] = e1
         f, _ = forward_student(np.array([[0.4, -1.1], [2.0, 5.0]]), params)
         assert f.shape == (2, 1, 3)
         np.testing.assert_array_equal(f[:, 0, :], np.tile(e1, (2, 1)))
@@ -74,7 +74,7 @@ class TestForward:
 
     def test_teacher_matches_student_after_copy(self):
         params = small_params(seed=5)
-        teacher = copy_teacher(params)
+        teacher = params.teacher_copy()
         x = make_rng(6).standard_normal((4, 3))
         f, _ = forward_student(x, params)
         v = forward_teacher(x, teacher)
@@ -82,10 +82,12 @@ class TestForward:
 
     def test_teacher_copy_is_independent(self):
         params = small_params(seed=5)
-        teacher = copy_teacher(params)
-        before = teacher.trunk[0].weight.copy()
-        params.trunk[0].weight += 1.0
-        np.testing.assert_array_equal(teacher.trunk[0].weight, before)
+        teacher = params.teacher_copy()
+        before = teacher["trunk.0.weight"].copy()
+        params["trunk.0.weight"][:] += 1.0
+        np.testing.assert_array_equal(teacher["trunk.0.weight"], before)
+        assert teacher.layout == params.layout.teacher
+        assert "gating.weight" not in teacher.arrays
 
     def test_input_validation(self):
         params = small_params()
@@ -98,11 +100,10 @@ class TestForward:
         """Weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); equal seeds agree."""
         a = small_params(seed=42, hidden=(6, 5))
         b = small_params(seed=42, hidden=(6, 5))
-        for pa, pb in zip(param_arrays(a), param_arrays(b)):
-            assert np.array_equal(pa, pb)
-        assert np.max(np.abs(a.trunk[0].weight)) <= 1.0 / math.sqrt(3)
-        assert np.max(np.abs(a.trunk[1].weight)) <= 1.0 / math.sqrt(6)
-        assert np.max(np.abs(a.expert_heads[0].weight)) <= 1.0 / math.sqrt(5)
+        assert np.array_equal(a.vec, b.vec)
+        assert np.max(np.abs(a["trunk.0.weight"])) <= 1.0 / math.sqrt(3)
+        assert np.max(np.abs(a["trunk.1.weight"])) <= 1.0 / math.sqrt(6)
+        assert np.max(np.abs(a["heads.weight"])) <= 1.0 / math.sqrt(5)
         with pytest.raises(InvalidInputError):
             init_params(0, [4], 2, 1, make_rng(0))
         with pytest.raises(InvalidInputError):
@@ -117,24 +118,24 @@ class TestBackward:
         the normalization Jacobian gives (1/2, -1/2)/sqrt(2); times the input 2.0
         lands on dW = (1/sqrt(2), -1/sqrt(2)).
         """
-        head = AffineLayer(np.array([[0.5], [0.5]]), np.zeros(2))
-        gating = AffineLayer(np.zeros((2, 1)), np.array([1.0, 0.0]))
-        params = EncoderParams([], [head], gating)
+        params = Params(Layout(1, (), 2, 1))
+        params["heads.weight"][:] = [[0.5], [0.5]]
+        params["gating.bias"][:] = [1.0, 0.0]
         f, tape = forward_student(np.array([2.0]), params)
         np.testing.assert_allclose(f[0], [1 / math.sqrt(2)] * 2, rtol=1e-15)
-        bundle = backward(tape, np.array([[1.0, 0.0]]), params)
+        grads = backward(tape, np.array([[1.0, 0.0]]), params)
         np.testing.assert_allclose(
-            bundle.expert_heads[0].weight,
+            grads["heads.weight"],
             [[0.7071067811865475], [-0.7071067811865475]],
             rtol=1e-14,
         )
         np.testing.assert_allclose(
-            bundle.expert_heads[0].bias,
+            grads["heads.bias"],
             [0.35355339059327373, -0.35355339059327373],
             rtol=1e-14,
         )
         # zero-weight gating head was never on this tape
-        assert not np.any(bundle.gating_head.weight)
+        assert not np.any(grads["gating.weight"])
 
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 5)])
     def test_matches_finite_differences(self, hidden):
@@ -152,39 +153,37 @@ class TestBackward:
 
         f, tape_f = forward_student(x, params)
         g, tape_g = forward_gating(x, params)
-        bundle = add_bundles(backward(tape_f, c, params), backward(tape_g, e, params))
+        grads = add_bundles(backward(tape_f, c, params), backward(tape_g, e, params))
 
         h = 1e-6
-        for p_arr, g_arr in zip(param_arrays(params), bundle_arrays(bundle)):
-            it = np.nditer(p_arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p_arr[idx]
-                p_arr[idx] = orig + h
-                up = loss()
-                p_arr[idx] = orig - h
-                down = loss()
-                p_arr[idx] = orig
-                np.testing.assert_allclose(
-                    g_arr[idx], (up - down) / (2 * h), rtol=1e-5, atol=1e-8
-                )
+        p_vec = params.vec  # the views forward reads, so a nudge here moves the loss
+        for idx in range(p_vec.size):
+            orig = p_vec[idx]
+            p_vec[idx] = orig + h
+            up = loss()
+            p_vec[idx] = orig - h
+            down = loss()
+            p_vec[idx] = orig
+            np.testing.assert_allclose(
+                grads.vec[idx], (up - down) / (2 * h), rtol=1e-5, atol=1e-8
+            )
 
     def test_zero_upstream_gives_zero_bundle(self):
         params = small_params()
         x = make_rng(1).standard_normal((4, 3))
         _, tape = forward_student(x, params)
-        bundle = backward(tape, np.zeros((4, 2, 4)), params)
-        for arr in bundle_arrays(bundle):
-            assert not np.any(arr)
+        grads = backward(tape, np.zeros((4, 2, 4)), params)
+        assert grads.layout == params.layout
+        assert not np.any(grads.vec)
 
     def test_gating_tape_leaves_expert_heads_alone(self):
         params = small_params()
         x = make_rng(2).standard_normal((4, 3))
         _, tape = forward_gating(x, params)
-        bundle = backward(tape, np.ones((4, 4)), params)
-        for head in bundle.expert_heads:
-            assert not np.any(head.weight) and not np.any(head.bias)
-        assert np.any(bundle.gating_head.weight)
+        grads = backward(tape, np.ones((4, 4)), params)
+        for weight, bias in head_blocks(grads):
+            assert not np.any(weight) and not np.any(bias)
+        assert np.any(grads["gating.weight"])
 
     def test_upstream_shape_mismatch(self):
         params = small_params()
@@ -198,6 +197,8 @@ class TestBackward:
         other = small_params(experts=3)
         with pytest.raises(TapeMismatchError):
             backward(tape, np.zeros((4, 2, 4)), other)
+        with pytest.raises(TapeMismatchError):
+            backward(tape, np.zeros((4, 2, 4)), small_params(hidden=(6,)))
 
     def test_squeezed_upstream_accepted(self):
         params = small_params()
@@ -205,69 +206,92 @@ class TestBackward:
         _, tape = forward_student(x, params)
         b1 = backward(tape, np.ones((2, 4)), params)
         b2 = backward(tape, np.ones((1, 2, 4)), params)
-        for a, b in zip(bundle_arrays(b1), bundle_arrays(b2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(b1.vec, b2.vec)
 
     def test_param_arrays_are_live_views(self):
+        """Every named array is a view into the one vector, in layout order, and
+        the views survive a deep copy pointing into the copy's own vector."""
         params = small_params()
-        arrays = param_arrays(params)
-        assert arrays[0] is params.trunk[0].weight
-        assert arrays[-1] is params.gating_head.bias
-        assert len(arrays) == 2 * (1 + 2 + 1)
+        assert list(params.arrays) == [
+            "trunk.0.weight", "trunk.0.bias", "heads.weight", "heads.bias",
+            "gating.weight", "gating.bias",
+        ]
+        assert params.vec.size == params.layout.size == 3 * 5 + 5 + 2 * 4 * 5 + 2 * 4 + 4 * 5 + 4
+        offset = 0
+        for name, array in params.arrays.items():
+            assert np.shares_memory(array, params.vec)
+            assert array.ctypes.data == params.vec.ctypes.data + 8 * offset
+            offset += array.size
+        assert offset == params.vec.size
+        weight, bias = head_blocks(params)[1]
+        assert np.shares_memory(weight, params.vec) and weight.shape == (4, 5)
+        np.testing.assert_array_equal(weight, params["heads.weight"][4:8])
+        params.vec[:] = 7.0
+        assert np.all(params["gating.bias"] == 7.0) and np.all(bias == 7.0)
+        clone = copy.deepcopy(params)
+        clone.vec[:] = -1.0
+        assert np.all(clone["trunk.0.weight"] == -1.0)
+        assert np.all(params["trunk.0.weight"] == 7.0)
 
 
 class TestEma:
     def test_single_step_example(self):
-        """teacher 0, student 1, momentum 0.999 -> 0.001."""
+        """teacher 0, student 1, momentum 0.999 -> 0.001, updated in place."""
         params = small_params(seed=8)
-        teacher = copy_teacher(params)
-        for layer in teacher.trunk + teacher.expert_heads:
-            layer.weight[:] = 0.0
-            layer.bias[:] = 0.0
-        for layer in params.trunk + params.expert_heads:
-            layer.weight[:] = 1.0
-            layer.bias[:] = 1.0
+        teacher = params.teacher_copy()
+        teacher.vec[:] = 0.0
+        params.vec[: teacher.vec.size] = 1.0  # trunk + expert heads; gating stays random
+        student_before = params.vec.copy()
         out = ema_update(teacher, params, 0.999)
-        np.testing.assert_allclose(out.trunk[0].weight, 0.001, rtol=1e-12)
-        np.testing.assert_allclose(out.expert_heads[1].bias, 0.001, rtol=1e-12)
-        # the input teacher is not mutated
-        assert not np.any(teacher.trunk[0].weight)
+        np.testing.assert_allclose(out["trunk.0.weight"], 0.001, rtol=1e-12)
+        np.testing.assert_allclose(head_blocks(out)[1][1], 0.001, rtol=1e-12)
+        # the teacher's own vector is updated and returned; the student is not mutated
+        assert out is teacher
+        np.testing.assert_array_equal(params.vec, student_before)
+
+    def test_matches_the_textbook_formula_bitwise(self):
+        """t *= m; t += (1-m) s is m t + (1-m) s down to the last bit."""
+        params = small_params(seed=8)
+        teacher = params.teacher_copy()
+        teacher.vec[:] = make_rng(9).standard_normal(teacher.vec.size)
+        n = teacher.vec.size
+        expected = 0.97 * teacher.vec + (1.0 - 0.97) * params.vec[:n]
+        ema_update(teacher, params, 0.97)
+        assert np.array_equal(teacher.vec, expected)
 
     @pytest.mark.parametrize("steps", [10, 100])
     def test_geometric_decay_closed_form(self, steps):
         """T repeats against a frozen student: t_T = m^T t_0 + (1 - m^T) s."""
         params = small_params(seed=8)
-        teacher = copy_teacher(params)
-        t0 = [a.copy() for a in (teacher.trunk[0].weight, teacher.expert_heads[0].bias)]
+        teacher = params.teacher_copy()
+        teacher.vec[:] = make_rng(10).standard_normal(teacher.vec.size)
+        t0 = teacher.vec.copy()
         m = 0.97
         for _ in range(steps):
             teacher = ema_update(teacher, params, m)
         decay = m**steps
         np.testing.assert_allclose(
-            teacher.trunk[0].weight,
-            decay * t0[0] + (1 - decay) * params.trunk[0].weight,
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            teacher.expert_heads[0].bias,
-            decay * t0[1] + (1 - decay) * params.expert_heads[0].bias,
+            teacher.vec,
+            decay * t0 + (1 - decay) * params.vec[: t0.size],
             rtol=1e-12,
         )
 
     def test_momentum_zero_copies_student(self):
         params = small_params(seed=8)
-        teacher = copy_teacher(params)
-        teacher.trunk[0].weight[:] = -5.0
+        teacher = params.teacher_copy()
+        teacher["trunk.0.weight"][:] = -5.0
         out = ema_update(teacher, params, 0.0)
-        assert np.array_equal(out.trunk[0].weight, params.trunk[0].weight)
+        assert np.array_equal(out.vec, params.vec[: out.vec.size])
 
     def test_momentum_validation(self):
         params = small_params()
-        teacher = copy_teacher(params)
+        teacher = params.teacher_copy()
         with pytest.raises(InvalidMomentumError):
             ema_update(teacher, params, 1.0)
         with pytest.raises(InvalidMomentumError):
             ema_update(teacher, params, -0.01)
+        with pytest.raises(DimensionMismatchError):
+            ema_update(small_params(experts=3).teacher_copy(), params, 0.5)
 
 
 class TestAugment:

@@ -12,15 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mice.errors import (
-    EmptyInputError,
-    InvalidInputError,
-    LengthMismatchError,
-    NonPositiveTemperatureError,
-    ZeroNormError,
-)
+from mice.errors import EmptyInputError, InvalidInputError, ZeroNormError
 from mice.numcore import (
-    dot,
     l2_normalize,
     log_sum_exp,
     logsumexp_rows,
@@ -28,7 +21,6 @@ from mice.numcore import (
     normalize_rows,
     row_norms,
     softmax_rows,
-    softmax_t,
 )
 
 finite_vectors = st.lists(
@@ -119,22 +111,16 @@ class TestLogSumExp:
 
 class TestSoftmax:
     def test_symmetric_pair(self):
-        np.testing.assert_allclose(softmax_t([0.0, 0.0], 1.0), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
 
     def test_log_two_case(self):
-        """logits (ln 2, 0) at temperature 1 put exactly twice the mass on the first entry."""
-        out = softmax_t([math.log(2.0), 0.0], 1.0)
+        """logits (ln 2, 0) put exactly twice the mass on the first entry."""
+        out = softmax_rows(np.array([math.log(2.0), 0.0]))
         np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_high_temperature_is_uniform(self):
-        out = softmax_t([13.0, -7.0, 2.0], 1e9)
+        out = softmax_rows(np.array([13.0, -7.0, 2.0]) / 1e9)
         np.testing.assert_allclose(out, 1.0 / 3.0, atol=1e-6)
-
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(NonPositiveTemperatureError):
-            softmax_t([1.0, 2.0], 0.0)
-        with pytest.raises(NonPositiveTemperatureError):
-            softmax_t([1.0, 2.0], -1.0)
 
     def test_sums_to_one_across_temperatures(self):
         """Row sum stays within 1e-12 of 1 for logits in [-50, 50], temperature 1e-3..1e3."""
@@ -143,7 +129,7 @@ class TestSoftmax:
             n = int(rng.integers(1, 12))
             logits = rng.uniform(-50.0, 50.0, size=n)
             temp = float(10.0 ** rng.uniform(-3, 3))
-            out = softmax_t(logits, temp)
+            out = softmax_rows(logits / temp)
             assert np.all(out >= 0.0)
             assert abs(float(np.sum(out)) - 1.0) < 1e-12
             if np.ptp(logits) / temp < 700.0:
@@ -155,20 +141,8 @@ class TestSoftmax:
         a = rng.uniform(-40.0, 40.0, size=(6, 5))
         out = softmax_rows(a)
         for i in range(6):
-            np.testing.assert_allclose(out[i], softmax_t(a[i], 1.0), rtol=1e-13)
-
-
-class TestDot:
-    def test_basis_vectors(self):
-        assert dot([1.0, 0.0], [1.0, 0.0]) == 1.0
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_value(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            dot([1.0, 2.0], [1.0, 2.0, 3.0])
+            e = np.exp(a[i])
+            np.testing.assert_allclose(out[i], e / np.sum(e), rtol=1e-13)
 
 
 class TestRows:

@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mice import encoder as enc
 from mice.data import Dataset, SyntheticSpec, generate
 from mice.errors import (
     ConfigError,
@@ -63,24 +62,19 @@ def tiny_dataset(seed=7, n_per=16):
     return generate(SyntheticSpec(3, 6, n_per, 15.0, seed=seed))
 
 
-def teacher_arrays(teacher):
-    out = []
-    for layer in teacher.trunk:
-        out.extend((layer.weight, layer.bias))
-    for layer in teacher.expert_heads:
-        out.extend((layer.weight, layer.bias))
-    return out
-
-
 def state_arrays(state):
     """Every float array a checkpoint must preserve, in a fixed order."""
-    return (
-        enc.param_arrays(state.student)
-        + teacher_arrays(state.teacher)
-        + [state.mu, state.omega, state.queue.snapshot(), state.opt_mu]
-        + state.opt_student
-        + [state.accumulator.sums, state.accumulator.counts]
-    )
+    return [
+        state.student.vec,
+        state.teacher.vec,
+        state.mu,
+        state.omega,
+        state.queue.snapshot(),
+        state.opt_mu,
+        state.opt_student,
+        state.accumulator.sums,
+        state.accumulator.counts,
+    ]
 
 
 def assert_states_identical(a, b):
@@ -182,7 +176,7 @@ class TestInitState:
         np.testing.assert_array_equal(state.omega, max_mahalanobis_centers(3, 4))
         assert state.queue.snapshot().shape == (24, 3, 4)  # queue_size < N: filled to cap
         assert state.epoch == 0
-        for buf in state.opt_student + [state.opt_mu]:
+        for buf in (state.opt_student, state.opt_mu):
             assert not buf.any()
 
     def test_prefill_capped_by_dataset(self):
@@ -250,17 +244,16 @@ class TestFit:
     def test_zero_ema_momentum_tracks_student_exactly(self):
         ds = tiny_dataset()
         state, _ = fit(tiny_config(ema_momentum=0.0, epochs=1), ds)
-        student = enc.param_arrays(state.student)[:-2]  # drop the gating head
-        for s_arr, t_arr in zip(student, teacher_arrays(state.teacher), strict=True):
-            np.testing.assert_array_equal(t_arr, s_arr)
+        n = state.teacher.vec.size  # the student's vector without the gating head
+        assert n == state.student.vec.size - 4 * 8 - 4
+        np.testing.assert_array_equal(state.teacher.vec, state.student.vec[:n])
 
     def test_near_one_ema_momentum_freezes_teacher(self):
         ds = tiny_dataset()
         cfg = tiny_config(ema_momentum=1.0 - 1e-12, epochs=1)
         before = init_state(cfg, ds)
         after, _ = fit(cfg, ds)
-        for b, a in zip(teacher_arrays(before.teacher), teacher_arrays(after.teacher), strict=True):
-            np.testing.assert_allclose(a, b, atol=1e-9)
+        np.testing.assert_allclose(after.teacher.vec, before.teacher.vec, atol=1e-9)
 
     def test_loss_descends_on_a_fixed_batch(self):
         """Full-batch run, no augmentation/momentum/decay, frozen teacher, small
