@@ -201,8 +201,13 @@ def _forward(x, params: Params, head: str) -> Tape:
     for w, b in params.trunk:
         h = np.tanh(h @ w.T + b)
         trunk_outputs.append(h)
+    return _head(xb, trunk_outputs, squeezed, params, head)
+
+
+def _head(xb, trunk_outputs: list[np.ndarray], squeezed: bool, params: Params, head: str) -> Tape:
+    layout = params.layout
     w, b = params.layer(head)
-    raw = h @ w.T + b
+    raw = (trunk_outputs[-1] if trunk_outputs else xb) @ w.T + b
     if head == "heads":
         raw = raw.reshape(raw.shape[0], layout.num_experts, layout.embed_dim)
     norms = row_norms(raw)
@@ -226,6 +231,14 @@ def forward_gating(x, params: Params) -> tuple[np.ndarray, Tape]:
     """Unit-norm gating embedding: (B, d), or (d,) for a single vector."""
     tape = _forward(x, params, "gating")
     return tape.output, tape
+
+
+def gating_from_student_tape(tape: Tape, params: Params) -> np.ndarray:
+    """forward_gating's embedding of a forward_student tape's points, from the trunk
+    output on the tape instead of a second trunk pass; bit-identical to forward_gating."""
+    if tape.head != "heads" or tape.layout != params.layout:
+        raise TapeMismatchError("expected a forward_student tape of these parameters")
+    return _head(tape.x, tape.trunk_outputs, tape.squeezed, params, "gating").output
 
 
 def backward(tape: Tape, upstream, params: Params) -> Params:

@@ -124,6 +124,7 @@ class TrainConfig:
             (all(w >= 1 for w in self.hidden_widths), "hidden widths must be >= 1"),
             (self.aug_sigma >= 0.0, "aug_sigma must be >= 0"),
             (0.0 <= self.aug_rho < 1.0, "aug_rho must lie in [0, 1)"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, message in checks:
             if not ok:
@@ -349,9 +350,9 @@ def fit(
 
 def _posterior_chunk(state: TrainState, points: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
     cfg = state.config
-    f, _ = enc.forward_student(points, state.student)
+    f, tape = enc.forward_student(points, state.student)
     v = enc.forward_teacher(points, state.teacher)
-    g, _ = enc.forward_gating(points, state.student)
+    g = enc.gating_from_student_tape(tape, state.student)  # the trunk runs once for f and g
     gate = gating_distribution(g, state.omega, cfg.kappa, cfg.flags)
     scores = expert_log_scores(v, f, state.mu, cfg.tau, cfg.flags)
     partitions = log_partition_estimates(f, v, snapshot, state.mu, cfg.tau, cfg.flags)

@@ -67,6 +67,7 @@ class TestGenerate:
             dict(num_clusters=2, input_dim=4, points_per_cluster=0, concentration=1.0),
             dict(num_clusters=2, input_dim=4, points_per_cluster=5, concentration=0.0),
             dict(num_clusters=2, input_dim=4, points_per_cluster=5, concentration=-1.0),
+            dict(num_clusters=2, input_dim=4, points_per_cluster=5, concentration=1.0, seed=-1),
         ],
     )
     def test_invalid_spec(self, kwargs):
@@ -333,3 +334,43 @@ class TestCli:
         ])
         assert code == 1
         assert "tau" in capsys.readouterr().err
+
+
+class TestHostileInputCli:
+    """Malformed input ends as exit 1 and a single `error:` line, not a traceback."""
+
+    def one_error_line(self, capsys) -> str:
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        return lines[0]
+
+    @pytest.fixture
+    def ckpt(self, workdir):
+        assert cli_main([
+            "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),
+            "--out", str(workdir / "run.ckpt"),
+        ]) == 0
+        return workdir / "run.ckpt"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"dim_0,dim_1\n0.5,1\xff\n", "line 2: not valid UTF-8"),
+            (b"dim_0,dim_1,truth\n0.5,1,99999999999999999999\n", "line 2: truth label"),
+        ],
+    )
+    def test_eval_on_hostile_csv(self, workdir, ckpt, capsys, content, message):
+        (workdir / "bad.csv").write_bytes(content)
+        capsys.readouterr()
+        assert cli_main(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "bad.csv")]) == 1
+        assert message in self.one_error_line(capsys)
+
+    def test_train_with_negative_seed(self, workdir, capsys):
+        (workdir / "neg.txt").write_text(CONFIG_TEXT.replace("seed = 2", "seed = -1"))
+        capsys.readouterr()
+        code = cli_main([
+            "train", "--config", str(workdir / "neg.txt"), "--data", str(workdir / "data.csv"),
+        ])
+        assert code == 1
+        assert "seed must be >= 0" in self.one_error_line(capsys)

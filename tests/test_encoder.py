@@ -25,6 +25,7 @@ from mice.encoder import (
     forward_gating,
     forward_student,
     forward_teacher,
+    gating_from_student_tape,
     head_blocks,
     init_params,
 )
@@ -88,6 +89,25 @@ class TestForward:
         np.testing.assert_array_equal(teacher["trunk.0.weight"], before)
         assert teacher.layout == params.layout.teacher
         assert "gating.weight" not in teacher.arrays
+
+    @pytest.mark.parametrize("hidden, rows", [((5,), 7), ((6, 5), 300), ((), 4), ((5,), None)])
+    def test_gating_from_student_tape_is_forward_gating(self, hidden, rows):
+        """One trunk pass serves both families: the gating embedding taken from a
+        student tape equals forward_gating's bit for bit (rows=None: one vector)."""
+        params = small_params(seed=8, hidden=hidden)
+        x = make_rng(9).standard_normal(3 if rows is None else (rows, 3))
+        _, tape = forward_student(x, params)
+        g, _ = forward_gating(x, params)
+        got = gating_from_student_tape(tape, params)
+        assert got.shape == g.shape and got.tobytes() == g.tobytes()
+
+    def test_gating_from_student_tape_rejects_other_tapes(self):
+        params = small_params()
+        x = make_rng(2).standard_normal((3, 3))
+        with pytest.raises(TapeMismatchError):
+            gating_from_student_tape(forward_gating(x, params)[1], params)
+        with pytest.raises(TapeMismatchError):
+            gating_from_student_tape(forward_student(x, params)[1], small_params(hidden=(6,)))
 
     def test_input_validation(self):
         params = small_params()

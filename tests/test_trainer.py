@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mice import encoder as enc
 from mice.data import Dataset, SyntheticSpec, generate
 from mice.errors import (
     ConfigError,
@@ -22,6 +23,13 @@ from mice.errors import (
     InvalidInputError,
     TooManyClustersError,
     VersionMismatchError,
+)
+from mice.model import (
+    expert_log_scores,
+    gating_distribution,
+    hard_assign,
+    log_partition_estimates,
+    posterior,
 )
 from mice.numcore import make_rng, normalize_rows, row_norms
 from mice.prototypes import max_mahalanobis_centers
@@ -137,6 +145,7 @@ class TestConfig:
             ("lr_milestones", (0.5, 0.5)),
             ("lr_milestones", (0.0, 0.5)),
             ("lr_milestones", (0.5, 1.0)),
+            ("seed", -1),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -309,6 +318,28 @@ class TestEvaluate:
         labels_3, post_3 = evaluate(state, ds)
         np.testing.assert_array_equal(labels_1, labels_3)
         np.testing.assert_array_equal(post_1, post_3)
+
+    def test_one_trunk_pass_matches_two_forward_passes(self):
+        """evaluate takes the gating embedding from the student's trunk output; labels and
+        posterior equal those built from a separate forward_gating pass, bit for bit."""
+        ds = tiny_dataset(n_per=100)  # 300 rows: two chunks
+        state, _ = fit(tiny_config(epochs=1), ds)
+        cfg = state.config
+        snapshot = state.queue.snapshot()
+        chunks = []
+        for x in (ds.points[:256], ds.points[256:]):  # evaluate's fixed chunks
+            f, _ = enc.forward_student(x, state.student)
+            v = enc.forward_teacher(x, state.teacher)
+            g, _ = enc.forward_gating(x, state.student)
+            chunks.append(posterior(
+                gating_distribution(g, state.omega, cfg.kappa, cfg.flags),
+                expert_log_scores(v, f, state.mu, cfg.tau, cfg.flags),
+                log_partition_estimates(f, v, snapshot, state.mu, cfg.tau, cfg.flags),
+            ))
+        expected = np.concatenate(chunks)
+        labels, post = evaluate(state, ds)
+        assert post.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(labels, hard_assign(expected))
 
     def test_repeat_calls_identical(self):
         ds = tiny_dataset()
