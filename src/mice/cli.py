@@ -14,13 +14,14 @@ import time
 import numpy as np
 
 from .baselines import best_of_restarts, two_stage_pipeline
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, load_synthetic_spec
 from .data import generate, load_dataset, save_dataset
 from .errors import MiceError
 from .metrics import acc, ari, nmi
 from .numcore import normalize_rows
 from .report import build_report, write_report
-from .trainer import evaluate, fit, load_checkpoint, save_checkpoint
+from .trainer import evaluate, fit
 from .verify import run_suite
 
 

@@ -1,12 +1,16 @@
 """Key-value config files: one `key = value` per line, `#` starts a comment.
 
-Unknown keys are rejected by name; missing keys take the documented defaults
-baked into TrainConfig / SyntheticSpec.
+Keys are the fields of TrainConfig / SyntheticSpec, and each value is parsed by
+its field's annotation: `true`/`false` for a bool, an integer, a number, or a
+comma list of integers or numbers (an empty value is the empty list). Unknown
+keys are rejected by name; missing keys take the documented defaults baked into
+the dataclass.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .data import SyntheticSpec
 from .errors import ConfigError, InvalidSpecError
@@ -14,7 +18,10 @@ from .trainer import TrainConfig
 
 
 def parse_keyvalue(path) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -54,72 +61,36 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"key {key!r}: {value!r} is not an integer") from exc
 
 
-def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
-    if not value:
-        return ()
-    return tuple(_parse_float(key, part.strip()) for part in value.split(","))
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float}
 
 
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    if not value:
-        return ()
-    return tuple(_parse_int(key, part.strip()) for part in value.split(","))
+def _parse(key: str, value: str, kind):
+    """`value` as the annotated type `kind`; a tuple[T, ...] is a comma list of T."""
+    if get_origin(kind) is tuple:
+        element = get_args(kind)[0]
+        return tuple(_parse(key, part.strip(), element) for part in value.split(",")) if value else ()
+    return _PARSERS[kind](key, value)
 
 
-_TRAIN_PARSERS = {
-    "tau": _parse_float,
-    "kappa": _parse_float,
-    "queue_size": _parse_int,
-    "ema_momentum": _parse_float,
-    "batch_size": _parse_int,
-    "epochs": _parse_int,
-    "lr_initial": _parse_float,
-    "lr_milestones": _parse_float_list,
-    "lr_decay": _parse_float,
-    "sgd_momentum": _parse_float,
-    "weight_decay": _parse_float,
-    "seed": _parse_int,
-    "num_clusters": _parse_int,
-    "embed_dim": _parse_int,
-    "hidden_widths": _parse_int_list,
-    "a3_uniform_gating": _parse_bool,
-    "a4_single_head": _parse_bool,
-    "a5_no_class_term": _parse_bool,
-    "detach_posterior": _parse_bool,
-    "aug_sigma": _parse_float,
-    "aug_rho": _parse_float,
-}
-
-_SPEC_PARSERS = {
-    "num_clusters": _parse_int,
-    "input_dim": _parse_int,
-    "points_per_cluster": _parse_int,
-    "concentration": _parse_float,
-    "seed": _parse_int,
-}
+def _load_fields(path, cls, what: str) -> dict:
+    """Parsed values of the key-value file `path` for the fields of dataclass `cls`."""
+    types = get_type_hints(cls)
+    kwargs = {}
+    for key, value in parse_keyvalue(path).items():
+        if key not in types:
+            raise ConfigError(f"unknown {what} key {key!r}")
+        kwargs[key] = _parse(key, value, types[key])
+    return kwargs
 
 
 def load_config(path) -> TrainConfig:
     """Training config from a key-value file; unknown keys are an error."""
-    raw = parse_keyvalue(path)
-    kwargs = {}
-    for key, value in raw.items():
-        parser = _TRAIN_PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = parser(key, value)
-    return TrainConfig(**kwargs)
+    return TrainConfig(**_load_fields(path, TrainConfig, "config"))
 
 
 def load_synthetic_spec(path) -> SyntheticSpec:
     """Synthetic dataset spec from a key-value file; unknown keys are an error."""
-    raw = parse_keyvalue(path)
-    kwargs = {}
-    for key, value in raw.items():
-        parser = _SPEC_PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"unknown spec key {key!r}")
-        kwargs[key] = parser(key, value)
+    kwargs = _load_fields(path, SyntheticSpec, "spec")
     try:
         return SyntheticSpec(**kwargs)
     except TypeError as exc:

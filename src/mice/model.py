@@ -107,14 +107,6 @@ class EmbeddingQueue:
             return self.buffer[: self.fill].copy()
         return np.concatenate((self.buffer[self.head :], self.buffer[: self.head]), axis=0)
 
-    @classmethod
-    def from_state(cls, buffer: np.ndarray, head: int, fill: int) -> "EmbeddingQueue":
-        q = cls(buffer.shape[0], buffer.shape[1], buffer.shape[2])
-        q.buffer = np.array(buffer, dtype=np.float64)
-        q.head = int(head)
-        q.fill = int(fill)
-        return q
-
 
 def _as_blocks(a, name: str) -> np.ndarray:
     x = np.asarray(a, dtype=np.float64)
@@ -299,7 +291,6 @@ class ElboResult:
     grad_f: np.ndarray
     grad_g: np.ndarray
     grad_mu: np.ndarray
-    expert_term: float
     kl_term: float
     entropy: float
 
@@ -373,7 +364,6 @@ def _elbo_result(
     else:
         grad_g = scale * ((post - gate) @ omega) / temps.kappa
 
-    expert_term = float(np.mean(np.sum(post * (scores.l_pos - scores.log_z), axis=-1)))
     kl_term = float(np.mean(np.sum(post * (np.log(np.maximum(post, 1e-300)) - log_gate), axis=-1)))
     return ElboResult(
         loss=-float(np.mean(elbo_items)),
@@ -382,7 +372,6 @@ def _elbo_result(
         grad_f=grad_f,
         grad_g=grad_g,
         grad_mu=grad_mu,
-        expert_term=expert_term,
         kl_term=kl_term,
         entropy=_entropy_mean(post),
     )

@@ -30,16 +30,6 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a finite float64 2-D array."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix entries must be finite")
-    return m
-
-
 # Inputs whose computed norm is already this close to 1.0 are returned unchanged.
 # One division pass always lands inside this band (pairwise summation keeps the
 # recomputed norm within ~log2(d) ulps of 1), which is what makes repeated

@@ -8,10 +8,9 @@ prototypes are replaced by their closed-form update from the buckets.
 
 The student, its gradient and its SGD momentum buffer are flat vectors in one
 encoder `Layout`, and the teacher's vector lines up with a prefix of it, so the
-optimizer step and the EMA are a few whole-vector operations. Checkpoints keep
-the v1 format, which stores every array by name with each expert head as its
-own weight/bias pair; those are row blocks of the stacked head, written and read
-as views. Loading validates every section against the stored config.
+optimizer step and the EMA are a few whole-vector operations. `checkpoint.py`
+writes and reads the whole state in the v1 checkpoint format; its
+`save_checkpoint` and `load_checkpoint` are re-exported here.
 
 All randomness (init, augmentation, shuffling) flows through one PCG64 stream
 owned by the state, so fixed seeds reproduce runs bitwise and a checkpointed
@@ -20,14 +19,10 @@ run continues exactly as the uninterrupted one.
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +30,12 @@ from . import encoder as enc
 from .data import Dataset
 from .errors import (
     ConfigError,
-    CorruptCheckpointError,
     FlagMismatchError,
     InvalidInputError,
     NonFiniteLossError,
-    VersionMismatchError,
 )
 from .metrics import acc, ari, nmi
 from .model import (
-    ElboResult,
     EmbeddingQueue,
     ModelFlags,
     Temperatures,
@@ -58,9 +50,6 @@ from .model import (
 )
 from .numcore import make_rng, normalize_rows
 from .prototypes import PrototypeAccumulator, analytic_prototype_update, max_mahalanobis_centers
-
-CHECKPOINT_MAGIC = b"MICE"
-CHECKPOINT_VERSION = 1
 
 # evaluate() splits work into fixed-size chunks so results do not depend on the
 # worker count configured through MICE_THREADS.
@@ -208,17 +197,20 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     """Seeded state: student init, teacher copy, dispersed omega, random unit mu,
     queue pre-filled by one teacher pass over min(queue_size, N) augmented points."""
     rng = make_rng(config.seed)
-    student = enc.init_params(
-        dataset.points.shape[1],
-        list(config.hidden_widths),
-        config.embed_dim,
-        config.num_clusters,
-        rng,
-    )
-    teacher = student.teacher_copy()
-    omega = max_mahalanobis_centers(config.num_clusters, config.embed_dim)
-    mu = normalize_rows(rng.uniform(-1.0, 1.0, size=(config.num_clusters, config.embed_dim)))
-    queue = EmbeddingQueue(config.queue_size, config.num_clusters, config.embed_dim)
+    try:  # the config sizes these; one too large for memory is a config error
+        student = enc.init_params(
+            dataset.points.shape[1],
+            list(config.hidden_widths),
+            config.embed_dim,
+            config.num_clusters,
+            rng,
+        )
+        teacher = student.teacher_copy()
+        omega = max_mahalanobis_centers(config.num_clusters, config.embed_dim)
+        mu = normalize_rows(rng.uniform(-1.0, 1.0, size=(config.num_clusters, config.embed_dim)))
+        queue = EmbeddingQueue(config.queue_size, config.num_clusters, config.embed_dim)
+    except MemoryError as exc:
+        raise ConfigError(f"the config needs more memory than is available: {exc}") from exc
     n_prefill = min(config.queue_size, dataset.points.shape[0])
     warmup = enc.augment(dataset.points[:n_prefill], rng, config.augmentation)
     queue.push(enc.forward_teacher(warmup, teacher))
@@ -428,244 +420,18 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
     return {"after_e": after_e, "after_m": after_m}
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints: magic "MICE", u32 version, tagged sections, little-endian f64.
-# ---------------------------------------------------------------------------
-
-
-_ARRAY_SECTIONS = ("student", "teacher", "mu", "omega", "queue", "opt", "accum")
-_INT64_MAX = 2**63 - 1
-
-
-def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    out = io.BytesIO()
-    out.write(struct.pack("<I", len(arrays)))
-    for name, arr in arrays:
-        raw = name.encode("utf-8")
-        out.write(struct.pack("<H", len(raw)))
-        out.write(raw)
-        a = np.asarray(arr, dtype=np.float64)
-        out.write(struct.pack("<B", a.ndim))
-        for dim in a.shape:
-            out.write(struct.pack("<I", dim))
-        out.write(a.astype("<f8").tobytes())
-    return out.getvalue()
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptCheckpointError("unexpected end of checkpoint data")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str) -> int:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
-
-    def name(self) -> str:
-        raw = self.take(self.unpack("<H"))
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptCheckpointError(f"undecodable name {raw!r}") from exc
-
-
-def _unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    r = _Reader(payload)
-    out: dict[str, np.ndarray] = {}
-    for _ in range(r.unpack("<I")):
-        name = r.name()
-        shape = tuple(r.unpack("<I") for _ in range(r.unpack("<B")))
-        flat = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
-        try:
-            out[name] = flat.reshape(shape).astype(np.float64)
-        except ValueError as exc:  # more dimensions than numpy supports
-            raise CorruptCheckpointError(f"array {name!r}: {exc}") from exc
-    if r.pos != len(payload):
-        raise CorruptCheckpointError("trailing bytes in array section")
-    return out
-
-
-def _v1_arrays(params: enc.Params, prefix: str) -> list[tuple[str, np.ndarray]]:
-    """Named views of params in the v1 array order: trunk layers, each expert head
-    as its own weight/bias pair (row blocks of the stacked head), gating head."""
-    layers = [(f"trunk.{i}", layer) for i, layer in enumerate(params.trunk)]
-    layers += [(f"head.{k}", layer) for k, layer in enumerate(enc.head_blocks(params))]
-    if params.layout.gating:
-        layers.append(("gating", params.layer("gating")))
-    return [
-        (f"{prefix}.{name}.{part}", array)
-        for name, (weight, bias) in layers
-        for part, array in (("weight", weight), ("bias", bias))
-    ]
-
-
-def _opt_arrays(buffer: np.ndarray, layout: enc.Layout) -> list[tuple[str, np.ndarray]]:
-    views = _v1_arrays(enc.Params(layout, buffer), "opt")
-    return [(f"opt.student.{i}", view) for i, (_, view) in enumerate(views)]
-
-
-def save_checkpoint(state: TrainState, path) -> None:
-    """Serialize the full training state (config, parameters, queue, optimizer, RNG)."""
-    meta = {
-        "epoch": state.epoch,
-        "queue_head": state.queue.head,
-        "queue_fill": state.queue.fill,
-        "accum_counts": state.accumulator.counts.tolist(),
-    }
-    opt = _opt_arrays(state.opt_student, state.student.layout)
-    sections: list[tuple[str, bytes]] = [
-        ("config", json.dumps(state.config.to_dict(), sort_keys=True).encode("utf-8")),
-        ("meta", json.dumps(meta, sort_keys=True).encode("utf-8")),
-        ("student", _pack_arrays(_v1_arrays(state.student, "student"))),
-        ("teacher", _pack_arrays(_v1_arrays(state.teacher, "teacher"))),
-        ("mu", _pack_arrays([("mu", state.mu)])),
-        ("omega", _pack_arrays([("omega", state.omega)])),
-        ("queue", _pack_arrays([("queue.buffer", state.queue.buffer)])),
-        ("opt", _pack_arrays(opt + [("opt.mu", state.opt_mu)])),
-        ("accum", _pack_arrays([("accum.sums", state.accumulator.sums)])),
-        ("rng", json.dumps(state.rng.bit_generator.state, sort_keys=True).encode("utf-8")),
-    ]
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<I", CHECKPOINT_VERSION))
-    out.write(struct.pack("<I", len(sections)))
-    for name, payload in sections:
-        raw = name.encode("utf-8")
-        out.write(struct.pack("<H", len(raw)))
-        out.write(raw)
-        out.write(struct.pack("<Q", len(payload)))
-        out.write(payload)
-    Path(path).write_bytes(out.getvalue())
-
-
-def _check_arrays(section: str, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
-    """A section must hold exactly the expected arrays, each in the shape the config needs."""
-    if set(arrays) != set(shapes):
-        raise CorruptCheckpointError(
-            f"{section} section: missing arrays {sorted(set(shapes) - set(arrays))}, "
-            f"unknown arrays {sorted(set(arrays) - set(shapes))}"
-        )
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise CorruptCheckpointError(
-                f"array {name!r} has shape {arrays[name].shape}, the config needs {shape}"
-            )
-
-
-def _check_int(what: str, value, low: int, high: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-        raise CorruptCheckpointError(f"{what} {value!r} is not an integer in [{low}, {high}]")
-    return value
-
-
-def load_checkpoint(path) -> TrainState:
-    """Inverse of save_checkpoint.
-
-    Rejects bad magic, a wrong version, truncation and trailing bytes, and
-    validates the contents against the stored config: the names and shapes of
-    every array, the meta keys, the queue position, the accumulator counts and
-    the RNG state. Every malformed file ends in CorruptCheckpointError (or
-    VersionMismatchError).
-    """
-    data = Path(path).read_bytes()
-    r = _Reader(data)
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise CorruptCheckpointError("bad magic bytes")
-    version = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    sections: dict[str, bytes] = {}
-    for _ in range(r.unpack("<I")):
-        name = r.name()
-        sections[name] = r.take(r.unpack("<Q"))
-    if r.pos != len(data):
-        raise CorruptCheckpointError("trailing bytes after final section")
-    missing = {"config", "meta", "rng", *_ARRAY_SECTIONS} - set(sections)
-    if missing:
-        raise CorruptCheckpointError(f"missing sections: {sorted(missing)}")
-
-    try:
-        config = TrainConfig.from_dict(json.loads(sections["config"].decode("utf-8")))
-        meta = json.loads(sections["meta"].decode("utf-8"))
-        rng_state = json.loads(sections["rng"].decode("utf-8"))
-    except (ValueError, ConfigError) as exc:
-        raise CorruptCheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
-    meta_keys = {"epoch", "queue_head", "queue_fill", "accum_counts"}
-    if not isinstance(meta, dict) or not meta_keys <= set(meta):
-        raise CorruptCheckpointError(f"meta section needs the keys {sorted(meta_keys)}")
-    arrays = {name: _unpack_arrays(sections[name]) for name in _ARRAY_SECTIONS}
-
-    # The config does not record the input dimension; the first student layer does.
-    k, d, widths = config.num_clusters, config.embed_dim, config.hidden_widths
-    first = arrays["student"].get("student.trunk.0.weight" if widths else "student.head.0.weight")
-    rows = widths[0] if widths else d
-    if first is None or first.ndim != 2 or first.shape[0] != rows or first.shape[1] < 1:
-        raise CorruptCheckpointError("first student layer is missing or does not fit the config")
-    layout = enc.Layout(first.shape[1], widths, d, k)
-    if 8 * layout.size > len(sections["student"]):
-        raise CorruptCheckpointError("student section is too short for the config")
-    student, teacher = enc.Params(layout), enc.Params(layout.teacher)
-    opt_student = np.zeros(layout.size)
-    views = {
-        "student": _v1_arrays(student, "student"),
-        "teacher": _v1_arrays(teacher, "teacher"),
-        "opt": _opt_arrays(opt_student, layout),
-    }
-    shapes = {section: {name: v.shape for name, v in pairs} for section, pairs in views.items()}
-    shapes["opt"]["opt.mu"] = (k, d)
-    shapes.update(
-        mu={"mu": (k, d)},
-        omega={"omega": (k, d)},
-        queue={"queue.buffer": (config.queue_size, k, d)},
-        accum={"accum.sums": (k, d)},
-    )
-    for section, expected in shapes.items():
-        _check_arrays(section, arrays[section], expected)
-    for section, pairs in views.items():
-        for name, view in pairs:
-            view[...] = arrays[section][name]
-
-    queue = EmbeddingQueue.from_state(
-        arrays["queue"]["queue.buffer"],
-        _check_int("queue_head", meta["queue_head"], 0, config.queue_size - 1),
-        _check_int("queue_fill", meta["queue_fill"], 0, config.queue_size),
-    )
-    counts = meta["accum_counts"]
-    if not isinstance(counts, list) or len(counts) != k:
-        raise CorruptCheckpointError(f"accum_counts {counts!r} is not a list of {k} counts")
-    accumulator = PrototypeAccumulator(k, d)
-    accumulator.sums = arrays["accum"]["accum.sums"]
-    accumulator.counts = np.array(
-        [_check_int("accum count", c, 0, _INT64_MAX) for c in counts], dtype=np.int64
-    )
-    rng = make_rng(0)
-    try:
-        rng.bit_generator.state = rng_state
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise CorruptCheckpointError(f"unusable RNG state: {exc}") from exc
-    return TrainState(
-        config=config,
-        student=student,
-        teacher=teacher,
-        mu=arrays["mu"]["mu"],
-        omega=arrays["omega"]["omega"],
-        queue=queue,
-        accumulator=accumulator,
-        opt_student=opt_student,
-        opt_mu=arrays["opt"]["opt.mu"],
-        epoch=_check_int("epoch", meta["epoch"], 0, _INT64_MAX),
-        rng=rng,
-    )
-
-
 def write_metric_log(path, entries: list[dict]) -> None:
     """Newline-delimited JSON, one object per epoch."""
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+# checkpoint.py imports TrainConfig and TrainState from this module, so its
+# names are re-exported only after those are defined.
+from .checkpoint import (  # noqa: E402
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_checkpoint,
+)

@@ -9,6 +9,7 @@ to the same bytes, and evaluate to the labels recorded when it was written.
 import copy
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,33 @@ class TestValidation:
         extra = [(n, dict(sections)["omega"] if n == "mu" else p) for n, p in sections]
         with pytest.raises(CorruptCheckpointError, match="unknown arrays \\['omega'\\]"):
             load_bytes(tmp_path, write_sections(extra))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"queue_size": 10**11},
+            {"hidden_widths": [10**11]},
+            {"num_clusters": 10**6, "embed_dim": 10**6},
+        ],
+    )
+    def test_config_beyond_the_file_is_rejected_before_allocating(self, tmp_path, edit):
+        """The stored config sizes the state; one far larger than the file allocates nothing."""
+        data = with_json(FIXTURE.read_bytes(), "config", lambda c: {**c, **edit})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptCheckpointError):
+                load_bytes(tmp_path, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_unknown_extra_section_is_ignored(self, tmp_path):
+        sections = read_sections(FIXTURE.read_bytes())
+        data = write_sections(sections[:5] + [("notes", b"\xffnot an array section")] + sections[5:])
+        out = tmp_path / "again.ckpt"
+        save_checkpoint(load_bytes(tmp_path, data), out)
+        assert out.read_bytes() == FIXTURE.read_bytes()
 
     @pytest.mark.parametrize(
         "edit",

@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,15 @@ class TestCsvErrors:
             load_dataset(self.write(tmp_path, f"dim_0,truth\n0.5,{label}\n"))
 
 
+NON_DEFAULT_CONFIG = dict(
+    tau=0.6, kappa=2.0, queue_size=128, ema_momentum=0.99, batch_size=32, epochs=7,
+    lr_initial=0.1, lr_milestones=(0.25, 0.5, 0.75), lr_decay=0.2, sgd_momentum=0.8,
+    weight_decay=1e-3, seed=9, num_clusters=5, embed_dim=6, hidden_widths=(16, 8),
+    a3_uniform_gating=True, a4_single_head=True, a5_no_class_term=True,
+    detach_posterior=True, aug_sigma=0.2, aug_rho=0.05,
+)
+
+
 class TestKeyValueFiles:
     def write(self, tmp_path, text, name="conf.txt"):
         path = tmp_path / name
@@ -191,6 +203,26 @@ class TestKeyValueFiles:
             hidden_widths=(16, 8), a3_uniform_gating=True, detach_posterior=True,
             aug_sigma=0.2, aug_rho=0.05,
         )
+
+    def test_every_field_loads_from_its_key(self, tmp_path):
+        """A file setting every TrainConfig field to a non-default value loads back equal."""
+        cfg = TrainConfig(**NON_DEFAULT_CONFIG)
+        for f in fields(TrainConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+
+        def text(value):
+            if isinstance(value, list):
+                return ", ".join(map(repr, value))
+            return str(value).lower() if isinstance(value, bool) else repr(value)
+
+        lines = "".join(f"{key} = {text(value)}\n" for key, value in cfg.to_dict().items())
+        assert load_config(self.write(tmp_path, lines)) == cfg
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Training config keys (`--config`):", 1)[1].split("\n\n")[1]
+        keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert keys == [f.name for f in fields(TrainConfig)]
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -374,3 +406,28 @@ class TestHostileInputCli:
         ])
         assert code == 1
         assert "seed must be >= 0" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(["train", "--data", "data.csv"], "--config"), (["gen-data", "--out", "out.csv"], "--spec")],
+    )
+    def test_non_utf8_key_value_file(self, workdir, capsys, command, option):
+        (workdir / "bad.txt").write_bytes(b"tau = 0.5\xff\n")
+        argv = [str(workdir / a) if a.endswith(".csv") else a for a in command]
+        capsys.readouterr()
+        assert cli_main(argv + [option, str(workdir / "bad.txt")]) == 1
+        assert "not valid UTF-8 at byte 9" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize("key", ["queue_size", "hidden_widths"])
+    def test_train_with_config_too_large_for_memory(self, workdir, capsys, key):
+        """Sizes far beyond any machine's memory fail to allocate in init_state."""
+        text = "\n".join(
+            line for line in CONFIG_TEXT.splitlines() if not line.startswith(key)
+        ) + f"\n{key} = 100000000000\n"
+        (workdir / "huge.txt").write_text(text)
+        capsys.readouterr()
+        code = cli_main([
+            "train", "--config", str(workdir / "huge.txt"), "--data", str(workdir / "data.csv"),
+        ])
+        assert code == 1
+        assert "needs more memory than is available" in self.one_error_line(capsys)
