@@ -19,6 +19,7 @@ from .config import load_config, load_synthetic_spec
 from .data import generate, load_dataset, save_dataset
 from .errors import MiceError
 from .metrics import acc, ari, nmi
+from .model import entropy_mean
 from .numcore import normalize_rows
 from .report import build_report, write_report
 from .trainer import evaluate, fit
@@ -65,17 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _final_metrics(truth, labels, post=None) -> dict:
+def _final_metrics(truth, labels, num_clusters: int, post=None) -> dict:
     final: dict = {}
     if truth is not None:
         final["nmi"] = nmi(truth, labels)
         final["acc"] = acc(truth, labels)
         final["ari"] = ari(truth, labels)
-    counts = np.bincount(np.asarray(labels))[1:]
-    final["occupancy"] = counts.tolist()
+    final["occupancy"] = np.bincount(np.asarray(labels), minlength=num_clusters + 1)[1:].tolist()
     if post is not None:
-        terms = np.where(post > 0.0, post * np.log(np.where(post > 0.0, post, 1.0)), 0.0)
-        final["posterior_entropy"] = float(np.mean(-np.sum(terms, axis=-1)))
+        final["posterior_entropy"] = entropy_mean(post)
     return final
 
 
@@ -98,7 +97,7 @@ def _cmd_train(args) -> int:
             "train",
             config.seed,
             config.to_dict(),
-            _final_metrics(dataset.truth, labels, post),
+            _final_metrics(dataset.truth, labels, config.num_clusters, post),
             wall,
             epochs=epoch_log,
         )
@@ -117,7 +116,7 @@ def _cmd_eval(args) -> int:
             "eval",
             state.config.seed,
             state.config.to_dict(),
-            _final_metrics(dataset.truth, labels, post),
+            _final_metrics(dataset.truth, labels, state.config.num_clusters, post),
             wall,
         )
         write_report(report, args.report)
@@ -135,7 +134,7 @@ def _cmd_baseline(args) -> int:
         labels = two_stage_pipeline(config, dataset)
     wall = time.perf_counter() - start
     if args.report:
-        final = _final_metrics(dataset.truth, labels)
+        final = _final_metrics(dataset.truth, labels, config.num_clusters)
         final["which"] = args.which
         report = build_report("baseline", config.seed, config.to_dict(), final, wall)
         write_report(report, args.report)

@@ -6,11 +6,17 @@ are (..., K). Teacher embeddings and queue contents are always constants —
 gradients flow only through student embeddings, gating embeddings and mu.
 
 One scoring core, `_score_core`, scores the combined embeddings w = f + mu_hat
-against a positive and F teacher blocks: 1/tau is folded into w, and the logits
-live in one (K, B, F) buffer that is shifted and exponentiated in place. Its
-three callers are `elbo_batch` (blocks = the negative queue, the positive a
-separate partition term), `log_partition_estimates` (the `evaluate` path,
-forward only) and `full_batch_elbo_grads` (blocks = all N teacher blocks, own
+against a positive and F teacher blocks, with 1/tau folded into w. It walks the
+batch in row tiles of at most 1 MiB of logits, so each tile stays in cache
+while it is multiplied out, exponentiated in place and summed, and, when
+gradients are wanted, multiplied with the blocks again into the softmax
+mixture of the blocks. Only one tile-sized buffer per thread exists, reused
+across calls. A Cauchy-Schwarz bound on |logit|, taken once per call, lets exp
+run on the raw logits when no term can overflow (unit rows at tau >= 1/150);
+otherwise each tile subtracts its exact row max first. Its three callers are
+`elbo_batch` (blocks = the negative queue, the positive a separate partition
+term), `log_partition_estimates` (the `evaluate` path, forward only, no
+mixture) and `full_batch_elbo_grads` (blocks = all N teacher blocks, own
 included, so no separate positive term). Both ELBOs share one tail,
 `_elbo_result`: posterior, objective, gradients, KL and entropy.
 
@@ -22,6 +28,8 @@ one gradient formula (weights = q) covers both conventions.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -124,20 +132,48 @@ def _route_heads(block: np.ndarray, flags: ModelFlags) -> np.ndarray:
     return block
 
 
-def _mix_blocks(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Weighted sums of blocks per item and expert: (B,K,F), (F,K,d) -> (B,K,d).
-
-    Equivalent to einsum("bkf,fkd->bkd") but BLAS-backed.
-    """
-    return (weights.transpose(1, 0, 2) @ blocks.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-
 class _Scores(NamedTuple):
     l_pos: np.ndarray  # (B, K) positive logit
     log_z: np.ndarray  # (B, K) log partition estimate
     sig0: np.ndarray  # (B, K) softmax weight of the positive; 0 when it is not a term
-    exps: np.ndarray  # (B, K, F) exp(logit - row max) per block; a view of the (K, B, F) buffer
-    total: np.ndarray  # (B, K) sum of the shifted exps, so the block weights are exps / total
+    mixture: np.ndarray | None  # (B, K, d) softmax-weighted sum of the blocks; None if not asked
+
+
+# Bytes of logits scored per tile: a tile stays in a 2 MiB L2 cache through its passes.
+_TILE_BYTES = 1 << 20
+# Largest |logit| at which exp runs unshifted: no term overflows and each
+# row's largest term stays a normal float.
+_UNSHIFTED_NATS = 300.0
+_scratch = threading.local()
+
+
+def _scratch_buffer(name: str, size: int) -> np.ndarray:
+    """The first `size` floats of this thread's buffer `name`, kept across calls.
+
+    The buffer grows to the largest size asked for. Freed after each call, a
+    buffer of this size goes back to the OS and is page-faulted in again on
+    the next call.
+    """
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_scratch, name, buf)
+    return buf[:size]
+
+
+def _needs_shift(w: np.ndarray, blocks: np.ndarray, l_pos: np.ndarray | None) -> bool:
+    """Whether exp must run on logits shifted by their row max.
+
+    It must unless every logit is known to lie within _UNSHIFTED_NATS: the
+    block logits by Cauchy-Schwarz (the largest row norm of w times that of
+    the blocks), and the positive logits l_pos, when they are terms, by their
+    own maximum. A NaN bound also takes the shift, the exact row-max path.
+    """
+    w_sq = np.einsum("bkd,bkd->bk", w, w).max(initial=0.0)  # initial: B or K may be 0
+    bound = math.sqrt(w_sq * np.einsum("fkd,fkd->fk", blocks, blocks).max(initial=0.0))
+    if not bound <= _UNSHIFTED_NATS:
+        return True
+    return l_pos is not None and not np.abs(l_pos).max(initial=0.0) <= _UNSHIFTED_NATS
 
 
 def _score_core(
@@ -146,35 +182,62 @@ def _score_core(
     blocks: np.ndarray,
     tau: float,
     include_positive: bool = True,
+    mix: bool = True,
 ) -> _Scores:
     """Logits of w against its positives and every block, with their logsumexp.
 
     w and positives are (B, K, d), blocks (F, K, d), heads already routed. The
     partition sums the F block terms, plus the positive when include_positive.
-    The matmul output is the only (B, K, F)-sized array: the row max (taken
-    together with the positive), the shift and exp run in place on it. Block
-    weights are left unnormalized, since their users need only a (B, K, d)
-    mixture of them, which is cheaper to divide by `total` than the buffer.
+    The batch is scored in row tiles of at most _TILE_BYTES of logits, in a
+    per-thread scratch buffer: GEMM, exp in place, row sum and, when mix, the
+    mixture GEMM run on a tile while it is in cache. No (B, K, F)-sized array
+    exists. `_needs_shift` decides once per call whether exp needs the row max
+    subtracted; it does not for unit rows at tau >= 1/150.
     """
     w = w / tau
     l_pos = np.sum(positives * w, axis=-1)
-    logits = w.transpose(1, 0, 2) @ blocks.transpose(1, 2, 0)  # (K, B, F)
-    shift = np.max(logits, axis=-1)
+    shifted = _needs_shift(w, blocks, l_pos if include_positive else None)
+    batch, num_k, dim = w.shape
+    num_f = blocks.shape[0]
+    rows = max(1, _TILE_BYTES // max(1, num_k * num_f * 8))
+    # The blocks as (K, d, F), copied: every tile's GEMM reads them, ~1.5x
+    # faster than from the strided view.
+    logit_blocks = _scratch_buffer("blocks", blocks.size).reshape(num_k, dim, num_f)
+    np.copyto(logit_blocks, blocks.transpose(1, 2, 0))
+    tiles = _scratch_buffer("tiles", num_k * min(rows, batch) * num_f)
+    w_t = w.transpose(1, 0, 2)  # (K, B, d)
+    pos_t = l_pos.T
+    mix_blocks = blocks.transpose(1, 0, 2)  # (K, F, d)
+    total = np.empty((num_k, batch))
+    shift = np.empty((num_k, batch)) if shifted else None
+    mixture = np.empty((num_k, batch, dim)) if mix else None
+    for start in range(0, batch, rows):
+        stop = min(start + rows, batch)
+        tile = tiles[: num_k * (stop - start) * num_f].reshape(num_k, stop - start, num_f)
+        np.matmul(w_t[:, start:stop], logit_blocks, out=tile)
+        if shifted:
+            row_max = shift[:, start:stop]
+            tile.max(axis=-1, out=row_max)
+            if include_positive:
+                np.maximum(row_max, pos_t[:, start:stop], out=row_max)
+            tile -= row_max[..., np.newaxis]
+        np.exp(tile, out=tile)
+        tile.sum(axis=-1, out=total[:, start:stop])
+        if mix:
+            np.matmul(tile, mix_blocks, out=mixture[:, start:stop])
     if include_positive:
-        np.maximum(shift, l_pos.T, out=shift)
-    logits -= shift[..., np.newaxis]
-    np.exp(logits, out=logits)
-    total = np.sum(logits, axis=-1)
-    if include_positive:
-        sig0 = np.exp(l_pos.T - shift)
+        sig0 = np.exp(pos_t - shift) if shifted else np.exp(pos_t)
         total += sig0
         sig0 /= total
     else:
         sig0 = np.zeros_like(total)
-    log_z = shift + np.log(total)
-    return _Scores(
-        l_pos, log_z.T.copy(), sig0.T.copy(), logits.transpose(1, 0, 2), total.T.copy()
-    )
+    log_z = np.log(total)
+    if shifted:
+        log_z += shift
+    if mix:
+        mixture /= total[..., np.newaxis]
+        mixture = mixture.transpose(1, 0, 2)
+    return _Scores(l_pos, log_z.T.copy(), sig0.T.copy(), mixture)
 
 
 def _combined(f: np.ndarray, mu: np.ndarray | None, flags: ModelFlags) -> np.ndarray:
@@ -246,7 +309,7 @@ def log_partition_estimates(
         raise EmptyQueueError("partition estimate needs at least one queued block")
     w = _combined(_route_heads(fb, flags), mu, flags)
     scores = _score_core(
-        w, _route_heads(vb, flags), _route_heads(qb, flags), tau, include_positive
+        w, _route_heads(vb, flags), _route_heads(qb, flags), tau, include_positive, mix=False
     )
     return scores.log_z[0] if squeeze else scores.log_z
 
@@ -295,7 +358,8 @@ class ElboResult:
     entropy: float
 
 
-def _entropy_mean(q: np.ndarray) -> float:
+def entropy_mean(q: np.ndarray) -> float:
+    """Mean over rows of the entropy of posterior rows q, with 0 log 0 = 0."""
     terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
     return float(np.mean(-np.sum(terms, axis=-1)))
 
@@ -311,7 +375,6 @@ def _grad_mu_raw(grad_mu_normalized: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _elbo_result(
     fb: np.ndarray,
     v_eff: np.ndarray,
-    blocks: np.ndarray,
     scores: _Scores,
     gate: np.ndarray,
     mu: np.ndarray | None,
@@ -346,8 +409,7 @@ def _elbo_result(
 
     # dELBO/dw per item and expert, weights = q:
     # d(l_pos - log_z)/dw = ((1 - sig0) v - sum_f weight_f block_f) / tau
-    mixture = _mix_blocks(scores.exps, blocks) / scores.total[..., np.newaxis]
-    direction = (1.0 - scores.sig0)[..., np.newaxis] * v_eff - mixture
+    direction = (1.0 - scores.sig0)[..., np.newaxis] * v_eff - scores.mixture
     grad_w = post[..., np.newaxis] * direction / temps.tau
     scale = -1.0 / batch  # dLoss = -(1/B) dSumELBO
     if flags.a4_single_head:
@@ -373,7 +435,7 @@ def _elbo_result(
         grad_g=grad_g,
         grad_mu=grad_mu,
         kl_term=kl_term,
-        entropy=_entropy_mean(post),
+        entropy=entropy_mean(post),
     )
 
 
@@ -423,7 +485,7 @@ def elbo_batch(
     w = _combined(_route_heads(fb, flags), mu, flags)
     gate = gating_distribution(gb, omega, temps.kappa, flags)
     scores = _score_core(w, v_eff, q_eff, temps.tau)
-    return _elbo_result(fb, v_eff, q_eff, scores, gate, mu, omega, temps, flags)
+    return _elbo_result(fb, v_eff, scores, gate, mu, omega, temps, flags)
 
 
 def exact_elbo(
@@ -465,4 +527,4 @@ def full_batch_elbo_grads(
     w = _combined(_route_heads(fb, flags), mu, flags)
     gate = gating_distribution(g_all, omega, temps.kappa, flags)
     scores = _score_core(w, v_eff, v_eff, temps.tau, include_positive=False)
-    return _elbo_result(fb, v_eff, v_eff, scores, gate, mu, omega, temps, flags, q_override)
+    return _elbo_result(fb, v_eff, scores, gate, mu, omega, temps, flags, q_override)

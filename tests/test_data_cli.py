@@ -24,9 +24,10 @@ from mice.errors import (
     InvalidSpecError,
     ParseError,
 )
+from mice.model import entropy_mean
 from mice.numcore import row_norms
 from mice.report import load_report
-from mice.trainer import TrainConfig, load_checkpoint
+from mice.trainer import TrainConfig, evaluate, load_checkpoint
 
 
 class TestGenerate:
@@ -325,6 +326,41 @@ class TestCli:
         eval_report = load_report(workdir / "eval.json")
         assert eval_report["command"] == "eval"
         assert eval_report["final"] == train_report["final"]
+
+    def test_eval_occupancy_keeps_an_empty_last_cluster(self, workdir):
+        """occupancy has K entries, also when no point lands in cluster K."""
+        ckpt = workdir / "run.ckpt"
+        assert cli_main([
+            "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),
+            "--out", str(ckpt),
+        ]) == 0
+        ds = load_dataset(workdir / "data.csv")
+        labels, _ = evaluate(load_checkpoint(ckpt), ds)
+        keep = labels < 3
+        assert keep.any()
+        save_dataset(Dataset(ds.points[keep], ds.truth[keep]), workdir / "part.csv")
+        assert cli_main([
+            "eval", "--ckpt", str(ckpt), "--data", str(workdir / "part.csv"),
+            "--report", str(workdir / "eval.json"),
+        ]) == 0
+        occupancy = load_report(workdir / "eval.json")["final"]["occupancy"]
+        assert occupancy == np.bincount(labels[keep], minlength=4)[1:].tolist()
+        assert len(occupancy) == 3 and occupancy[-1] == 0
+
+    def test_eval_entropy_is_the_model_helper(self, workdir):
+        """The reported posterior entropy is entropy_mean of evaluate's posterior, bit for bit."""
+        ckpt = workdir / "run.ckpt"
+        assert cli_main([
+            "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),
+            "--out", str(ckpt),
+        ]) == 0
+        assert cli_main([
+            "eval", "--ckpt", str(ckpt), "--data", str(workdir / "data.csv"),
+            "--report", str(workdir / "eval.json"),
+        ]) == 0
+        _, post = evaluate(load_checkpoint(ckpt), load_dataset(workdir / "data.csv"))
+        reported = load_report(workdir / "eval.json")["final"]["posterior_entropy"]
+        assert reported == entropy_mean(post)
 
     @pytest.mark.parametrize("which", ["skmeans", "two-stage"])
     def test_baselines(self, workdir, which):

@@ -7,11 +7,13 @@ isolates the score/partition/posterior algebra from the encoder backward.
 """
 
 import math
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mice.errors import (
@@ -35,7 +37,8 @@ from mice.model import (
     log_partition_estimates,
     posterior,
 )
-from mice.model import _combined, _route_heads, _score_core
+from mice import model
+from mice.model import _combined, _needs_shift, _route_heads, _score_core
 from mice.numcore import make_rng, normalize_rows
 from mice.prototypes import max_mahalanobis_centers
 
@@ -136,11 +139,17 @@ class TestQueue:
             assert (batched.head, batched.fill) == (single.head, single.fill)
 
 
+def routed(blocks, flags):
+    """Reference head routing: under a4 every expert row is a copy of row 0."""
+    if flags.a4_single_head:
+        return np.repeat(blocks[..., :1, :], blocks.shape[-2], axis=-2)
+    return blocks
+
+
 def naive_scores(f, v, queue, mu, tau, flags, include_positive=True):
     """einsum + concatenate + np.logaddexp.reduce reference for the scoring core:
     (l_pos, log_z, sig0, weights of the queue blocks)."""
-    if flags.a4_single_head:
-        f, v, queue = (np.repeat(b[..., :1, :], b.shape[-2], axis=-2) for b in (f, v, queue))
+    f, v, queue = (routed(b, flags) for b in (f, v, queue))
     w = f if flags.a5_no_class_term else f + mu / np.linalg.norm(mu, axis=1, keepdims=True)
     l_pos = np.einsum("bkd,bkd->bk", v, w) / tau
     l_neg = np.einsum("fkd,bkd->bkf", queue, w) / tau
@@ -159,14 +168,15 @@ def core_scores(f, v, queue, mu, tau, flags, include_positive=True):
     )
 
 
-def assert_core_matches(got, want):
-    """Core output equals the reference to 1e-12, finite, with weights summing to 1."""
-    weights = got.exps / got.total[..., np.newaxis]
-    for g, w in zip((got.l_pos, got.log_z, got.sig0, weights), want):
+def assert_core_matches(got, want, queue):
+    """Core output equals the reference to 1e-12 and is finite; the mixture equals
+    the reference weights applied to the routed queue blocks."""
+    l_pos, log_z, sig0, weights = want
+    mixture = np.einsum("bkf,fkd->bkd", weights, queue)
+    for g, w in zip((got.l_pos, got.log_z, got.sig0, got.mixture), (l_pos, log_z, sig0, mixture)):
         assert g.shape == w.shape
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(got.sig0 + weights.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestScoreCore:
@@ -192,7 +202,92 @@ class TestScoreCore:
         assert_core_matches(
             core_scores(f, v, queue, mu, tau, flags, include_positive),
             naive_scores(f, v, queue, mu, tau, flags, include_positive),
+            routed(queue, flags),
         )
+        # The block weights sum to 1 - sig0: F copies of one block c mix to (1 - sig0) c.
+        same = np.repeat(queue[:1], fill, axis=0)
+        got = core_scores(f, v, same, mu, tau, flags, include_positive)
+        want = (1.0 - got.sig0)[..., np.newaxis] * routed(same, flags)[0]
+        np.testing.assert_allclose(got.mixture, want, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=st.integers(1, 13),
+        rows=st.integers(1, 6),
+        k=st.integers(1, 3),
+        fill=st.sampled_from([1, 3, 17]),
+        shifted=st.booleans(),
+        include_positive=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=7, rows=3, k=2, fill=3, shifted=False, include_positive=True, seed=1)
+    @example(batch=5, rows=1, k=3, fill=17, shifted=True, include_positive=True, seed=2)
+    @example(batch=12, rows=4, k=1, fill=1, shifted=False, include_positive=False, seed=3)
+    def test_row_tiles_match_naive_reference(
+        self, batch, rows, k, fill, shifted, include_positive, seed
+    ):
+        """With _TILE_BYTES patched to `rows` rows of logits, the batch spans several
+        tiles, the last one ragged or a single row, in either shift branch."""
+        rng = make_rng(seed)
+        f, v = rng.standard_normal((2, batch, k, 4))
+        queue = rng.standard_normal((fill, k, 4))
+        mu = rng.standard_normal((k, 4)) + 0.1
+        tau = float(rng.uniform(0.2, 2.0))
+        row_bytes = k * fill * 8
+        with (
+            mock.patch.object(model, "_TILE_BYTES", rows * row_bytes + row_bytes - 1),
+            mock.patch.object(model, "_needs_shift", lambda *args: shifted),
+        ):
+            got = core_scores(f, v, queue, mu, tau, PLAIN, include_positive)
+        assert_core_matches(got, naive_scores(f, v, queue, mu, tau, PLAIN, include_positive), queue)
+
+    def test_shift_only_when_logits_may_leave_the_safe_range(self):
+        """Unit rows at tau >= 1/150 score unshifted; the tau = 0.05, logits ~1e3 case
+        and NaN inputs take the exact row-max shift. Both branches match the reference."""
+        rng = make_rng(40)
+        decisions = []
+
+        def spy(*args):
+            decisions.append(_needs_shift(*args))
+            return decisions[-1]
+
+        f, v = normalize_rows(rng.standard_normal((2, 16, 3, 5)))
+        queue = normalize_rows(rng.standard_normal((64, 3, 5)))
+        mu = rng.standard_normal((3, 5))
+        big = 7.0 * rng.standard_normal((3, 16, 3, 5))
+        with mock.patch.object(model, "_needs_shift", spy):
+            for tau in (1.0, 1.0 / 150.0):
+                for include_positive in (True, False):
+                    want = naive_scores(f, v, queue, mu, tau, PLAIN, include_positive)
+                    got = core_scores(f, v, queue, mu, tau, PLAIN, include_positive)
+                    assert_core_matches(got, want, queue)
+            assert decisions == [False] * 4
+            want = naive_scores(big[0], big[1], big[2], mu, 0.05, PLAIN)
+            assert np.max(np.abs(want[0])) > 500.0
+            assert_core_matches(core_scores(big[0], big[1], big[2], mu, 0.05, PLAIN), want, big[2])
+            assert decisions[-1] is True
+        w = _combined(f, mu, PLAIN)
+        l_pos = np.sum(v * w, axis=-1)
+        nan_w, nan_queue, nan_pos = w.copy(), queue.copy(), l_pos.copy()
+        nan_w[3, 1, 2] = nan_queue[5, 0, 0] = nan_pos[2, 2] = np.nan
+        assert _needs_shift(nan_w, queue, l_pos)
+        assert _needs_shift(w, nan_queue, None)
+        assert _needs_shift(w, queue, nan_pos)
+        assert not _needs_shift(w, queue, l_pos)
+
+    def test_empty_batch_or_no_experts(self):
+        """A batch of zero points or zero experts scores to empty partitions."""
+        for batch, k in ((0, 3), (2, 0)):
+            f = np.zeros((batch, k, 4))
+            log_z = log_partition_estimates(f, f, np.ones((5, k, 4)), np.ones((k, 4)), 1.0, PLAIN)
+            assert log_z.shape == (batch, k)
+
+    @pytest.mark.parametrize("where", ["f", "v", "queue"])
+    def test_nan_scores_raise(self, where):
+        f, v, g, queue, mu, omega = random_instance(seed=44)
+        {"f": f, "v": v, "queue": queue}[where][0, 0, 0] = np.nan
+        with pytest.raises(DegenerateDistributionError):
+            elbo_batch(f, v, g, queue, mu, omega, Temperatures(), PLAIN)
 
     def test_large_logits_at_small_tau(self):
         """tau = 0.05 with logits of magnitude ~1e3: finite, and equal to the reference."""
@@ -203,7 +298,9 @@ class TestScoreCore:
         for flags in (PLAIN, ModelFlags(a4_single_head=True), ModelFlags(a5_no_class_term=True)):
             want = naive_scores(f, v, queue, mu, 0.05, flags)
             assert np.max(np.abs(want[0])) > 500.0
-            assert_core_matches(core_scores(f, v, queue, mu, 0.05, flags), want)
+            assert_core_matches(
+                core_scores(f, v, queue, mu, 0.05, flags), want, routed(queue, flags)
+            )
 
     def test_elbo_batch_allocates_one_logits_buffer(self):
         """A default-shape call (B=256, K=4, d=8, F=1024) peaks near one (B, K, F) array."""
@@ -218,6 +315,29 @@ class TestScoreCore:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * batch * k * fill * 8
+
+    def test_elbo_batch_peaks_under_two_mib(self):
+        """Row tiles keep a default-shape call under 2 MiB, warm and on a thread's
+        first call, which allocates its scratch buffers."""
+        batch, k, d, fill = 256, 4, 8, 1024
+        f, v, g, queue, mu, omega = random_instance(seed=41, n=batch, k=k, d=d, fill=fill)
+        args = (f, v, g, queue, mu, omega, Temperatures(), PLAIN)
+        elbo_batch(*args)  # warm numpy's internal caches and this thread's scratch
+        results = []
+        thread = threading.Thread(target=lambda: results.append(elbo_batch(*args)))
+        tracemalloc.start()
+        try:
+            elbo_batch(*args)
+            _, warm = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            thread.start()
+            thread.join(timeout=60.0)
+            _, first = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not thread.is_alive() and len(results) == 1
+        assert warm < 2 * 2**20
+        assert first < 2 * 2**20
 
 
 class TestGating:
