@@ -274,17 +274,19 @@ def backward(tape: Tape, upstream, params: Params) -> Params:
     gw, gb = grads.layer(tape.head)
     np.matmul(du.T, h_last, out=gw)
     du.sum(axis=0, out=gb)
-    d_h = du @ params.layer(tape.head)[0]
 
     # Trunk: walk layers in reverse; tanh' = 1 - tanh^2 recovered from saved outputs.
+    # Each layer pulls its output gradient through the layer above, so no gradient
+    # is formed for the input x.
+    dz, w_above = du, params.layer(tape.head)[0]
     for i in range(len(params.trunk) - 1, -1, -1):
         h_out = tape.trunk_outputs[i]
         h_in = tape.trunk_outputs[i - 1] if i > 0 else tape.x
-        dz = d_h * (1.0 - h_out * h_out)
+        dz = (dz @ w_above) * (1.0 - h_out * h_out)
         gw, gb = grads.trunk[i]
         np.matmul(dz.T, h_in, out=gw)
         dz.sum(axis=0, out=gb)
-        d_h = dz @ params.trunk[i][0]
+        w_above = params.trunk[i][0]
     return grads
 
 

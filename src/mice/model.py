@@ -427,9 +427,10 @@ def _elbo_result(
         grad_g = scale * ((post - gate) @ omega) / temps.kappa
 
     kl_term = float(np.mean(np.sum(post * (np.log(np.maximum(post, 1e-300)) - log_gate), axis=-1)))
+    elbo = float(np.mean(elbo_items))
     return ElboResult(
-        loss=-float(np.mean(elbo_items)),
-        elbo=float(np.mean(elbo_items)),
+        loss=-elbo,
+        elbo=elbo,
         posterior=fresh,
         grad_f=grad_f,
         grad_g=grad_g,

@@ -3,21 +3,30 @@
 Each metric gets an independent oracle: ACC against exhaustive permutation
 search, ARI against direct pair counting (2(ad-bc) / ((a+b)(b+d)+(a+c)(c+d))),
 NMI against a Counter-based entropy computation. Hand-worked values cover the
-small cases, hypothesis covers the relabeling invariances.
+small cases, hypothesis covers the relabeling invariances. The matching solver
+behind ACC is also checked on raw rectangular tables (permutation search, a
+planted optimum) and for its memory on many truth labels.
 """
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mice.cli import cli_main
+from mice.data import Dataset, save_dataset
 from mice.errors import EmptyInputError, LengthMismatchError
-from mice.metrics import acc, ari, contingency_table, nmi
+from mice.metrics import acc, ari, contingency_table, max_matching, nmi
 from mice.numcore import make_rng
+from mice.report import load_report
+
+V1_CHECKPOINT = Path(__file__).parent / "data" / "v1_tiny.ckpt"  # 3 clusters, 4 inputs
 
 label_pairs = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=40
@@ -145,6 +154,88 @@ class TestAcc:
     def test_six_cluster_search(self):
         for truth, pred in random_labelings(seed=63, trials=10, n=60, k=6):
             np.testing.assert_allclose(acc(truth, pred), acc_brute(truth, pred), rtol=1e-14)
+
+
+def matching_brute(table):
+    """Best one-to-one matching total of a table: every injection of the smaller side."""
+    t = np.asarray(table)
+    if t.shape[0] > t.shape[1]:
+        t = t.T
+    rows = np.arange(t.shape[0])
+    injections = itertools.permutations(range(t.shape[1]), t.shape[0])
+    return max(int(t[rows, list(cols)].sum()) for cols in injections)
+
+
+def labels_of(table):
+    """Truth/predicted labels (1-based) whose contingency counts are `table`."""
+    t = np.asarray(table)
+    cells = np.repeat(np.arange(t.size), t.ravel())
+    return cells // t.shape[1] + 1, cells % t.shape[1] + 1
+
+
+@st.composite
+def count_tables(draw):
+    """1-7 x 1-7 counts in 0..3, so ties are common, with some lines zeroed."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    flat = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+    table = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        table[i] = 0
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        table[:, j] = 0
+    return table
+
+
+class TestMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(count_tables())
+    def test_rectangular_matches_permutation_search(self, table):
+        best = matching_brute(table)
+        assert max_matching(table) == best
+        assert max_matching(table.T) == best
+        if table.sum() > 0:  # zero lines drop out of the labels' table
+            assert acc(*labels_of(table)) == best / int(table.sum())
+
+    def test_planted_optimum_60x60(self):
+        """t[i, j] = a_i + b_j - s_ij with s = 0 on a hidden permutation and >= 1 elsewhere:
+        every other matching loses its slack, so the optimum is sum(a) + sum(b)."""
+        rng = make_rng(70)
+        n = 60
+        a = rng.integers(20, 40, size=n)
+        b = rng.integers(20, 40, size=n)
+        slack = rng.integers(1, 31, size=(n, n))
+        hidden = rng.permutation(n)
+        slack[np.arange(n), hidden] = 0
+        table = a[:, None] + b[None, :] - slack
+        table = table[rng.permutation(n)][:, rng.permutation(n)]
+        best = int(a.sum() + b.sum())
+        assert max_matching(table) == best
+        assert max_matching(table.T) == best
+        assert acc(*labels_of(table)) == best / int(table.sum())
+
+    def test_many_truth_labels_stay_small(self):
+        """3000 truth labels against 4 clusters: no 3000 x 3000 square is built."""
+        truth = np.arange(3000) + 1
+        pred = truth % 4 + 1
+        tracemalloc.start()
+        try:
+            value = acc(truth, pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == 4 / 3000
+        assert peak < 1 << 20
+
+    def test_eval_cli_on_many_truth_labels(self, tmp_path):
+        points = make_rng(71).standard_normal((3000, 4))
+        save_dataset(Dataset(points, np.arange(3000) + 1), tmp_path / "data.csv")
+        report = tmp_path / "eval.json"
+        assert cli_main([
+            "eval", "--ckpt", str(V1_CHECKPOINT), "--data", str(tmp_path / "data.csv"),
+            "--report", str(report),
+        ]) == 0
+        final = load_report(report)["final"]
+        assert final["acc"] == sum(count > 0 for count in final["occupancy"]) / 3000
 
 
 class TestAri:
