@@ -199,7 +199,9 @@ def _forward(x, params: Params, head: str) -> Tape:
     trunk_outputs = []
     h = xb
     for w, b in params.trunk:
-        h = np.tanh(h @ w.T + b)
+        h = h @ w.T
+        h += b
+        np.tanh(h, out=h)
         trunk_outputs.append(h)
     return _head(xb, trunk_outputs, squeezed, params, head)
 
@@ -207,13 +209,15 @@ def _forward(x, params: Params, head: str) -> Tape:
 def _head(xb, trunk_outputs: list[np.ndarray], squeezed: bool, params: Params, head: str) -> Tape:
     layout = params.layout
     w, b = params.layer(head)
-    raw = (trunk_outputs[-1] if trunk_outputs else xb) @ w.T + b
+    raw = (trunk_outputs[-1] if trunk_outputs else xb) @ w.T
+    raw += b
     if head == "heads":
         raw = raw.reshape(raw.shape[0], layout.num_experts, layout.embed_dim)
     norms = row_norms(raw)
     if (norms <= ZERO_NORM_EPS).any():
         raise ZeroNormError(f"{head} output collapsed to the zero vector")
-    return Tape(head, layout, xb, trunk_outputs, norms, raw / norms[..., np.newaxis], squeezed)
+    raw /= norms[..., np.newaxis]
+    return Tape(head, layout, xb, trunk_outputs, norms, raw, squeezed)
 
 
 def forward_student(x, params: Params) -> tuple[np.ndarray, Tape]:
@@ -268,7 +272,9 @@ def backward(tape: Tape, upstream, params: Params) -> Params:
 
     # Jacobian of u -> u/||u||: (g - f (f.g)) / ||u||; the K heads stack into one row.
     f = tape.normalized
-    du = (g - f * (g * f).sum(axis=-1, keepdims=True)) / tape.norms[..., np.newaxis]
+    du = f * (g * f).sum(axis=-1, keepdims=True)
+    np.subtract(g, du, out=du)
+    du /= tape.norms[..., np.newaxis]
     du = du.reshape(du.shape[0], -1)
     h_last = tape.trunk_outputs[-1] if tape.trunk_outputs else tape.x
     gw, gb = grads.layer(tape.head)
@@ -282,7 +288,10 @@ def backward(tape: Tape, upstream, params: Params) -> Params:
     for i in range(len(params.trunk) - 1, -1, -1):
         h_out = tape.trunk_outputs[i]
         h_in = tape.trunk_outputs[i - 1] if i > 0 else tape.x
-        dz = (dz @ w_above) * (1.0 - h_out * h_out)
+        tanh_grad = h_out * h_out
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        dz = dz @ w_above
+        dz *= tanh_grad
         gw, gb = grads.trunk[i]
         np.matmul(dz.T, h_in, out=gw)
         dz.sum(axis=0, out=gb)
@@ -314,9 +323,13 @@ def augment(x, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
     """Additive Gaussian noise then coordinate dropout. sigma=0, rho=0 is the identity.
 
     Both random draws happen unconditionally so the consumed stream length does
-    not depend on the config values.
+    not depend on the config values. The result, (x + sigma * noise) * keep, is
+    built in the noise buffer.
     """
     a = np.asarray(x, dtype=np.float64)
     noise = rng.standard_normal(a.shape)
     keep = rng.random(a.shape) >= cfg.rho
-    return (a + cfg.sigma * noise) * keep
+    noise *= cfg.sigma
+    noise += a
+    noise *= keep
+    return noise

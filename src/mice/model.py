@@ -20,6 +20,14 @@ mixture) and `full_batch_elbo_grads` (blocks = all N teacher blocks, own
 included, so no separate positive term). Both ELBOs share one tail,
 `_elbo_result`: posterior, objective, gradients, KL and entropy.
 
+The tail runs one shifted exp per call. From s = log p + l_pos - log Z_hat it
+takes the row max m and e = exp(s - m) once: the posterior is e / sum(e) and
+the ELBO item m + log sum(e), the formulas of `softmax_rows` and
+`logsumexp_rows`, so both match them bit for bit. KL and entropy then come from
+one log q over the same (B, K) array, with terms where q = 0 contributing 0, so
+a gating probability that underflows to 0 leaves KL finite. Its gradient
+through mu reuses the row norms taken when mu was normalized.
+
 With q computed fresh from the current scores, the evidence-style identity
 sum_k q_k (s_k - log q_k) = logsumexp(s) makes the ELBO value and its
 first-order gradients identical whether or not q is treated as a constant, so
@@ -42,8 +50,9 @@ from .errors import (
     InvalidInputError,
     NonPositiveTemperatureError,
 )
-from .numcore import logsumexp_rows, softmax_rows
-from .prototypes import normalized_prototypes
+# logsumexp_rows is not called here; bench/tracer.py wraps model.logsumexp_rows by name.
+from .numcore import logsumexp_rows, softmax_rows  # noqa: F401
+from .prototypes import unit_prototypes_with_norms
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def _score_core(
     subtracted; it does not for unit rows at tau >= 1/150.
     """
     w = w / tau
-    l_pos = np.sum(positives * w, axis=-1)
+    l_pos = (positives * w).sum(axis=-1)
     shifted = _needs_shift(w, blocks, l_pos if include_positive else None)
     batch, num_k, dim = w.shape
     num_f = blocks.shape[0]
@@ -240,12 +249,20 @@ def _score_core(
     return _Scores(l_pos, log_z.T.copy(), sig0.T.copy(), mixture)
 
 
-def _combined(f: np.ndarray, mu: np.ndarray | None, flags: ModelFlags) -> np.ndarray:
+def _unit_prototypes(
+    mu: np.ndarray | None, flags: ModelFlags
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(mu_hat, row norms of mu) as they enter the scores; None under a5."""
     if flags.a5_no_class_term:
-        return f
+        return None
     if mu is None:
         raise InvalidInputError("mu is required unless a5_no_class_term is set")
-    return f + normalized_prototypes(mu)
+    return unit_prototypes_with_norms(mu)
+
+
+def _combined(f: np.ndarray, mu: np.ndarray | None, flags: ModelFlags) -> np.ndarray:
+    protos = _unit_prototypes(mu, flags)
+    return f if protos is None else f + protos[0]
 
 
 def gating_distribution(g, omega: np.ndarray, kappa: float, flags: ModelFlags) -> np.ndarray:
@@ -364,70 +381,95 @@ def entropy_mean(q: np.ndarray) -> float:
     return float(np.mean(-np.sum(terms, axis=-1)))
 
 
-def _grad_mu_raw(grad_mu_normalized: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    # Chain through row normalization: (I - m m^T)/||u|| applied per row.
-    norms = np.sqrt(np.sum(np.square(mu), axis=-1, keepdims=True))
-    m_hat = mu / norms
-    inner = np.sum(grad_mu_normalized * m_hat, axis=-1, keepdims=True)
+def _grad_mu_raw(grad_mu_normalized: np.ndarray, protos: tuple[np.ndarray, np.ndarray]):
+    # Chain through row normalization: (I - m m^T)/||u|| applied per row, with the
+    # (mu_hat, norms) that _unit_prototypes took for the scores.
+    m_hat, norms = protos
+    inner = (grad_mu_normalized * m_hat).sum(axis=-1, keepdims=True)
     return (grad_mu_normalized - m_hat * inner) / norms
 
 
 def _elbo_result(
     fb: np.ndarray,
     v_eff: np.ndarray,
-    scores: _Scores,
-    gate: np.ndarray,
+    blocks: np.ndarray,
+    g: np.ndarray,
     mu: np.ndarray | None,
     omega: np.ndarray,
     temps: Temperatures,
     flags: ModelFlags,
+    include_positive: bool = True,
     q_override: np.ndarray | None = None,
 ) -> ElboResult:
-    """Posterior, batch-mean ELBO, gradients and diagnostics from the core's scores.
+    """Scores of fb against v_eff and the (routed) blocks, then the one-pass tail:
+    posterior, batch-mean ELBO, gradients and diagnostics. The callers validate
+    the inputs.
 
     Gradient weights are q_override when given (responsibilities held fixed),
     else the fresh posterior, whose ELBO is logsumexp(s) by the evidence identity.
     """
     batch, num_k, dim = fb.shape
+    protos = _unit_prototypes(mu, flags)
+    f_eff = _route_heads(fb, flags)
+    w = f_eff if protos is None else f_eff + protos[0]
+    gate = gating_distribution(g, omega, temps.kappa, flags)
+    scores = _score_core(w, v_eff, blocks, temps.tau, include_positive)
+
     with np.errstate(divide="ignore"):
         log_gate = np.log(gate)
-    s = log_gate + scores.l_pos - scores.log_z
-    if np.any(np.isnan(s)):
-        raise DegenerateDistributionError("posterior logits contain NaN")
-    if np.any(np.all(np.isneginf(s), axis=-1)):
-        raise DegenerateDistributionError("all unnormalized posterior terms are zero")
-    fresh = softmax_rows(s)
+    s = log_gate + scores.l_pos
+    s -= scores.log_z
+    # A NaN anywhere in a row makes its max NaN; only an all -inf row has max -inf.
+    row_max = s.max(axis=-1, keepdims=True)
+    if not np.isfinite(row_max).all():
+        if np.isnan(row_max).any():
+            raise DegenerateDistributionError("posterior logits contain NaN")
+        if np.isneginf(row_max).any():
+            raise DegenerateDistributionError("all unnormalized posterior terms are zero")
+    fresh = s - row_max
+    np.exp(fresh, out=fresh)
+    total = fresh.sum(axis=-1, keepdims=True)
+    fresh /= total  # softmax_rows(s)
+    post = fresh if q_override is None else q_override
+    positive = post > 0.0
+    log_q = np.log(post, out=np.zeros_like(post), where=positive)  # 0 where q = 0
+    # Per-item terms of the ELBO, KL and sum q log q, one plane each, summed over
+    # experts and averaged over the batch in one pass. Where q = 0 a term is 0, even
+    # against p = 0; q > 0 against p = 0 makes KL +inf.
+    terms = np.zeros((3, batch, num_k))
     if q_override is None:
-        post = fresh
-        elbo_items = logsumexp_rows(s)
+        np.log(total, out=total)
+        total += row_max  # logsumexp_rows(s)
+        terms[0, :, :1] = total
     else:
-        post = np.asarray(q_override, dtype=np.float64)
-        if post.shape != s.shape:
-            raise DimensionMismatchError(f"q shape {post.shape} does not match {s.shape}")
-        log_q = np.log(np.where(post > 0.0, post, 1.0))
-        elbo_items = np.sum(np.where(post > 0.0, post * (s - log_q), 0.0), axis=-1)
+        np.multiply(post, s - log_q, out=terms[0], where=positive)
+    np.multiply(post, log_q - log_gate, out=terms[1], where=positive)
+    np.multiply(post, log_q, out=terms[2])
+    elbo, kl_term, neg_entropy = (terms.sum(axis=-1).sum(axis=-1) / batch).tolist()
 
     # dELBO/dw per item and expert, weights = q:
     # d(l_pos - log_z)/dw = ((1 - sig0) v - sum_f weight_f block_f) / tau
-    direction = (1.0 - scores.sig0)[..., np.newaxis] * v_eff - scores.mixture
-    grad_w = post[..., np.newaxis] * direction / temps.tau
+    grad_w = (1.0 - scores.sig0)[..., np.newaxis] * v_eff
+    grad_w -= scores.mixture
+    grad_w *= post[..., np.newaxis]
+    grad_w /= temps.tau
     scale = -1.0 / batch  # dLoss = -(1/B) dSumELBO
-    if flags.a4_single_head:
-        grad_f = np.zeros_like(fb)
-        grad_f[:, 0, :] = scale * np.sum(grad_w, axis=1)
-    else:
-        grad_f = scale * grad_w
-    if flags.a5_no_class_term:
+    if protos is None:
         grad_mu = np.zeros((num_k, dim))
     else:
-        grad_mu = _grad_mu_raw(scale * np.sum(grad_w, axis=0), np.asarray(mu, dtype=np.float64))
+        grad_mu = _grad_mu_raw(scale * grad_w.sum(axis=0), protos)
+    if flags.a4_single_head:
+        grad_f = np.zeros_like(fb)
+        grad_f[:, 0, :] = scale * grad_w.sum(axis=1)
+    else:
+        grad_w *= scale
+        grad_f = grad_w
     if flags.a3_uniform_gating:
         grad_g = np.zeros((batch, omega.shape[1]))
     else:
-        grad_g = scale * ((post - gate) @ omega) / temps.kappa
-
-    kl_term = float(np.mean(np.sum(post * (np.log(np.maximum(post, 1e-300)) - log_gate), axis=-1)))
-    elbo = float(np.mean(elbo_items))
+        grad_g = (post - gate) @ omega
+        grad_g *= scale
+        grad_g /= temps.kappa
     return ElboResult(
         loss=-elbo,
         elbo=elbo,
@@ -436,7 +478,7 @@ def _elbo_result(
         grad_g=grad_g,
         grad_mu=grad_mu,
         kl_term=kl_term,
-        entropy=entropy_mean(post),
+        entropy=-neg_entropy,
     )
 
 
@@ -480,13 +522,8 @@ def elbo_batch(
         raise DimensionMismatchError(f"queue blocks shape {qb.shape} incompatible")
     if qb.shape[0] == 0:
         raise EmptyQueueError("elbo_batch needs at least one queued block")
-
     v_eff = _route_heads(vb, flags)
-    q_eff = _route_heads(qb, flags)
-    w = _combined(_route_heads(fb, flags), mu, flags)
-    gate = gating_distribution(gb, omega, temps.kappa, flags)
-    scores = _score_core(w, v_eff, q_eff, temps.tau)
-    return _elbo_result(fb, v_eff, scores, gate, mu, omega, temps, flags)
+    return _elbo_result(fb, v_eff, _route_heads(qb, flags), gb, mu, omega, temps, flags)
 
 
 def exact_elbo(
@@ -525,7 +562,13 @@ def full_batch_elbo_grads(
     """
     fb = _as_blocks(f_all, "f_all")
     v_eff = _route_heads(_as_blocks(v_all, "v_all"), flags)
-    w = _combined(_route_heads(fb, flags), mu, flags)
-    gate = gating_distribution(g_all, omega, temps.kappa, flags)
-    scores = _score_core(w, v_eff, v_eff, temps.tau, include_positive=False)
-    return _elbo_result(fb, v_eff, scores, gate, mu, omega, temps, flags, q_override)
+    if q_override is not None:
+        q_override = np.asarray(q_override, dtype=np.float64)
+        if q_override.shape != fb.shape[:2]:
+            raise DimensionMismatchError(
+                f"q shape {q_override.shape} does not match {fb.shape[:2]}"
+            )
+    return _elbo_result(
+        fb, v_eff, v_eff, g_all, mu, omega, temps, flags, include_positive=False,
+        q_override=q_override,
+    )

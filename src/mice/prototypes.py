@@ -77,8 +77,8 @@ class PrototypeAccumulator:
         """Add row `label` (1-indexed) of each teacher block to that label's bucket.
 
         Takes one (K, d) block with an int label, or a (B, K, d) batch with B
-        integer labels. A batch is applied in row order (np.add.at), so the sums
-        equal those of B single adds bit for bit.
+        integer labels. The sums take a batch in row order (np.add.at), so they
+        equal those of B single adds bit for bit; the counts are one bincount.
         """
         blocks = np.asarray(teacher_blocks, dtype=np.float64)
         if blocks.shape == self.sums.shape:
@@ -86,7 +86,7 @@ class PrototypeAccumulator:
             labels = np.array([int(hard_labels)])
         elif blocks.ndim == 3 and blocks.shape[1:] == self.sums.shape:
             labels = np.asarray(hard_labels)
-            if labels.shape != blocks.shape[:1] or not np.issubdtype(labels.dtype, np.integer):
+            if labels.shape != blocks.shape[:1] or labels.dtype.kind not in "iu":
                 raise InvalidInputError(
                     f"need {blocks.shape[0]} integer labels, got {labels.dtype} {labels.shape}"
                 )
@@ -94,14 +94,14 @@ class PrototypeAccumulator:
             raise InvalidInputError(
                 f"teacher block shape {blocks.shape} does not match {self.sums.shape}"
             )
-        outside = (labels < 1) | (labels > self.num_clusters)
-        if np.any(outside):
+        if labels.min(initial=1) < 1 or labels.max(initial=1) > self.num_clusters:
+            outside = (labels < 1) | (labels > self.num_clusters)
             raise LabelOutOfRangeError(
                 f"label {labels[outside][0]} outside 1..{self.num_clusters}"
             )
         rows = labels - 1
         np.add.at(self.sums, rows, blocks[np.arange(rows.shape[0]), rows])
-        np.add.at(self.counts, rows, 1)
+        self.counts += np.bincount(rows, minlength=self.num_clusters)
 
     def reset(self) -> None:
         self.sums[:] = 0.0
@@ -131,10 +131,15 @@ def analytic_prototype_update(
     return out
 
 
-def normalized_prototypes(mu: np.ndarray) -> np.ndarray:
-    """mu with each row l2-normalized — the form in which mu enters every score."""
+def unit_prototypes_with_norms(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """normalized_prototypes(mu) and the (K, 1) row norms it divided by."""
     m = np.asarray(mu, dtype=np.float64)
     norms = np.sqrt(np.sum(np.square(m), axis=-1, keepdims=True))
     if np.any(norms <= ZERO_NORM_EPS):
         raise ZeroNormError("prototype row has zero norm")
-    return m / norms
+    return m / norms, norms
+
+
+def normalized_prototypes(mu: np.ndarray) -> np.ndarray:
+    """mu with each row l2-normalized — the form in which mu enters every score."""
+    return unit_prototypes_with_norms(mu)[0]

@@ -23,6 +23,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,15 +123,15 @@ class TrainConfig:
         if any(not 0.0 < m < 1.0 for m in ms) or any(a >= b for a, b in zip(ms, ms[1:])):
             raise ConfigError("lr_milestones must be strictly increasing fractions in (0, 1)")
 
-    @property
+    @cached_property
     def flags(self) -> ModelFlags:
         return ModelFlags(self.a3_uniform_gating, self.a4_single_head, self.a5_no_class_term)
 
-    @property
+    @cached_property
     def temps(self) -> Temperatures:
         return Temperatures(self.tau, self.kappa)
 
-    @property
+    @cached_property
     def augmentation(self) -> enc.AugmentConfig:
         return enc.AugmentConfig(self.aug_sigma, self.aug_rho)
 
@@ -231,10 +232,13 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
 
 
 def _sgd_step(param: np.ndarray, grad: np.ndarray, buf: np.ndarray, lr: float, cfg: TrainConfig):
-    step = grad + cfg.weight_decay * param
+    """buf = momentum * buf + (grad + weight_decay * param); param -= lr * buf, in place."""
+    tmp = cfg.weight_decay * param
+    tmp += grad
     buf *= cfg.sgd_momentum
-    buf += step
-    param -= lr * buf
+    buf += tmp
+    np.multiply(lr, buf, out=tmp)
+    param -= tmp
 
 
 def train_step(state: TrainState, batch: np.ndarray) -> dict:

@@ -313,6 +313,29 @@ class TestCli:
         b.pop("wall_clock_seconds")
         assert a == b
 
+    def test_train_report_is_strict_json_when_gates_underflow(self, workdir):
+        """kappa = 0.001 is valid and underflows gating probabilities to 0; the KL the
+        report carries stays finite, so the report parses without NaN or Infinity."""
+        spec = (
+            "num_clusters = 4\ninput_dim = 6\npoints_per_cluster = 100\n"
+            "concentration = 20\nseed = 5\n"
+        )
+        (workdir / "spec400.txt").write_text(spec)
+        (workdir / "kappa.txt").write_text(CONFIG_TEXT + "kappa = 0.001\n")
+        data = workdir / "data400.csv"
+        assert cli_main(["gen-data", "--spec", str(workdir / "spec400.txt"), "--out", str(data)]) == 0
+        assert cli_main([
+            "train", "--config", str(workdir / "kappa.txt"), "--data", str(data),
+            "--report", str(workdir / "train.json"),
+        ]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the report")
+
+        report = json.loads((workdir / "train.json").read_text(), parse_constant=reject)
+        assert report["config"]["kappa"] == 0.001
+        assert all(math.isfinite(entry["kl"]) for entry in report["epochs"])
+
     def test_eval_matches_training_run(self, workdir):
         assert cli_main([
             "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),

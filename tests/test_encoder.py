@@ -101,6 +101,33 @@ class TestForward:
         got = gating_from_student_tape(tape, params)
         assert got.shape == g.shape and got.tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 5)])
+    def test_matches_the_out_of_place_formula_bitwise(self, hidden):
+        """Bias and tanh added in place, then normalized in place: the same floats as
+        h = tanh(h W^T + b) per layer and raw / ||raw|| on the head."""
+        params = small_params(seed=12, hidden=hidden, experts=3)
+        x = make_rng(13).standard_normal((9, 3))
+
+        def reference(head):
+            h = x
+            for w, b in params.trunk:
+                h = np.tanh(h @ w.T + b)
+            w, b = params.layer(head)
+            raw = h @ w.T + b
+            if head == "heads":
+                raw = raw.reshape(9, 3, 4)
+            return raw / row_norms(raw)[..., np.newaxis]
+
+        f, tape = forward_student(x, params)
+        g, _ = forward_gating(x, params)
+        for got, want in (
+            (f, reference("heads")),
+            (forward_teacher(x, params.teacher_copy()), reference("heads")),
+            (g, reference("gating")),
+            (gating_from_student_tape(tape, params), reference("gating")),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_gating_from_student_tape_rejects_other_tapes(self):
         params = small_params()
         x = make_rng(2).standard_normal((3, 3))
@@ -187,6 +214,34 @@ class TestBackward:
             np.testing.assert_allclose(
                 grads.vec[idx], (up - down) / (2 * h), rtol=1e-5, atol=1e-8
             )
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 5)])
+    @pytest.mark.parametrize("head", ["heads", "gating"])
+    def test_matches_the_out_of_place_formula_bitwise(self, hidden, head):
+        """The in-place Jacobian and tanh' give the gradients of the out-of-place
+        formulas du = (g - f (g.f)) / ||u|| and dz = (dz W) * (1 - h^2) bit for bit."""
+        params = small_params(seed=14, hidden=hidden, experts=3)
+        x = make_rng(15).standard_normal((7, 3))
+        forward = forward_student if head == "heads" else forward_gating
+        out, tape = forward(x, params)
+        upstream = make_rng(16).standard_normal(out.shape)
+        grads = backward(tape, upstream, params)
+
+        f = tape.normalized
+        inner = (upstream * f).sum(axis=-1, keepdims=True)
+        du = (upstream - f * inner) / tape.norms[..., np.newaxis]
+        dz = du.reshape(7, -1)
+        inputs = [x] + tape.trunk_outputs
+        want = {f"{head}.weight": dz.T @ inputs[-1], f"{head}.bias": dz.sum(axis=0)}
+        w_above = params[f"{head}.weight"]
+        for i in range(len(hidden) - 1, -1, -1):
+            h_out = tape.trunk_outputs[i]
+            dz = (dz @ w_above) * (1.0 - h_out * h_out)
+            want[f"trunk.{i}.weight"] = dz.T @ inputs[i]
+            want[f"trunk.{i}.bias"] = dz.sum(axis=0)
+            w_above = params[f"trunk.{i}.weight"]
+        for name, value in want.items():
+            assert grads[name].tobytes() == value.tobytes(), name
 
     def test_zero_upstream_gives_zero_bundle(self):
         params = small_params()
@@ -338,6 +393,22 @@ class TestAugment:
         augment(x, rng_b, AugmentConfig(0.0, 0.0))
         after_b = rng_b.standard_normal(8)
         assert np.array_equal(after_a, after_b)
+
+    @pytest.mark.parametrize("sigma, rho", [(0.3, 0.25), (0.0, 0.5), (1.7, 0.0)])
+    def test_matches_the_out_of_place_formula_bitwise(self, sigma, rho):
+        """The output built in the noise buffer is (x + sigma * noise) * keep, with
+        noise and keep drawn from a cloned generator, and consumes the same stream."""
+        x = make_rng(4).standard_normal((6, 5))
+        x[0, :2] = [0.0, -0.0]
+        rng = make_rng(31)
+        clone = copy.deepcopy(rng)
+        cfg = AugmentConfig(sigma, rho)
+        out = augment(x, rng, cfg)
+        noise = clone.standard_normal(x.shape)
+        keep = clone.random(x.shape) >= rho
+        expected = (x + sigma * noise) * keep
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_moments_at_zero_input(self):
         """x = 0: output is sigma * noise * keep with mean 0, variance sigma^2 (1 - rho)."""

@@ -9,6 +9,7 @@ isolates the score/partition/posterior algebra from the encoder backward.
 import math
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,7 @@ from mice.model import (
 )
 from mice import model
 from mice.model import _combined, _needs_shift, _route_heads, _score_core
-from mice.numcore import make_rng, normalize_rows
+from mice.numcore import logsumexp_rows, make_rng, normalize_rows, softmax_rows
 from mice.prototypes import max_mahalanobis_centers
 
 PLAIN = ModelFlags()
@@ -732,3 +733,157 @@ class TestFullDataset:
                 weights.append(gate[c] * phi / z)
             bayes = np.array(weights) / sum(weights)
             np.testing.assert_allclose(full.posterior[i], bayes, atol=1e-10)
+
+
+def previous_tail(fb, vb, blocks, g, mu, omega, temps, flags, include_positive, q_override=None):
+    """The ELBO tail as written before the one-pass rewrite, kept as its oracle:
+    separate softmax, logsumexp, KL and entropy passes, mu normalized again for
+    its gradient. One departure: its KL gave NaN where q = 0 met p = 0 (0 times
+    inf), and those terms count 0 here."""
+    v_eff = _route_heads(vb, flags)
+    w = _combined(_route_heads(fb, flags), mu, flags)
+    gate = gating_distribution(g, omega, temps.kappa, flags)
+    scores = _score_core(w, v_eff, _route_heads(blocks, flags), temps.tau, include_positive)
+    batch, num_k, dim = fb.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_gate = np.log(gate)
+        s = log_gate + scores.l_pos - scores.log_z
+        fresh = softmax_rows(s)
+        if q_override is None:
+            post = fresh
+            elbo_items = logsumexp_rows(s)
+        else:
+            post = q_override
+            log_q = np.log(np.where(post > 0.0, post, 1.0))
+            elbo_items = np.sum(np.where(post > 0.0, post * (s - log_q), 0.0), axis=-1)
+        direction = (1.0 - scores.sig0)[..., np.newaxis] * v_eff - scores.mixture
+        grad_w = post[..., np.newaxis] * direction / temps.tau
+        scale = -1.0 / batch
+        if flags.a4_single_head:
+            grad_f = np.zeros_like(fb)
+            grad_f[:, 0, :] = scale * np.sum(grad_w, axis=1)
+        else:
+            grad_f = scale * grad_w
+        if flags.a5_no_class_term:
+            grad_mu = np.zeros((num_k, dim))
+        else:
+            norms = np.sqrt(np.sum(np.square(mu), axis=-1, keepdims=True))
+            m_hat = mu / norms
+            grad_mu_normalized = scale * np.sum(grad_w, axis=0)
+            inner = np.sum(grad_mu_normalized * m_hat, axis=-1, keepdims=True)
+            grad_mu = (grad_mu_normalized - m_hat * inner) / norms
+        if flags.a3_uniform_gating:
+            grad_g = np.zeros((batch, omega.shape[1]))
+        else:
+            grad_g = scale * ((post - gate) @ omega) / temps.kappa
+        kl_terms = post * (np.log(np.maximum(post, 1e-300)) - log_gate)
+        kl = float(np.mean(np.sum(np.where(post > 0.0, kl_terms, 0.0), axis=-1)))
+        q_log_q = np.where(post > 0.0, post * np.log(np.where(post > 0.0, post, 1.0)), 0.0)
+        entropy = float(np.mean(-np.sum(q_log_q, axis=-1)))
+    return {
+        "loss": -float(np.mean(elbo_items)),
+        "posterior": fresh,
+        "grad_f": grad_f,
+        "grad_g": grad_g,
+        "grad_mu": grad_mu,
+        "kl_term": kl,
+        "entropy": entropy,
+    }
+
+
+def assert_matches_previous_tail(res: ElboResult, ref: dict):
+    """Loss, posterior and gradients bit for bit; the diagnostics within 1e-12."""
+    assert res.loss == ref["loss"]
+    assert res.elbo == -res.loss
+    for name in ("posterior", "grad_f", "grad_g", "grad_mu"):
+        got = getattr(res, name)
+        assert got.shape == ref[name].shape and got.tobytes() == ref[name].tobytes(), name
+    for name in ("kl_term", "entropy"):
+        assert math.isclose(getattr(res, name), ref[name], rel_tol=0.0, abs_tol=1e-12), name
+
+
+class TestElboTail:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=st.integers(1, 6),
+        k=st.integers(1, 4),
+        d=st.integers(1, 5),
+        fill=st.integers(1, 6),
+        ablations=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        tau=st.sampled_from([0.05, 1.0]) | st.floats(0.05, 5.0),
+        kappa=st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 5.0),
+        q_kind=st.sampled_from(["none", "fresh", "with_zeros", "one_hot"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_previous_tail(
+        self, batch, k, d, fill, ablations, tau, kappa, q_kind, seed
+    ):
+        """elbo_batch and full_batch_elbo_grads against the multi-pass tail, with
+        and without held responsibilities, raising no floating-point warning."""
+        rng = make_rng(seed)
+        f = normalize_rows(rng.standard_normal((batch, k, d)))
+        v = normalize_rows(rng.standard_normal((batch, k, d)))
+        g = normalize_rows(rng.standard_normal((batch, d)))
+        queue = normalize_rows(rng.standard_normal((fill, k, d)))
+        omega = normalize_rows(rng.standard_normal((k, d)))
+        flags = ModelFlags(*ablations)
+        mu = None if flags.a5_no_class_term else rng.standard_normal((k, d))
+        temps = Temperatures(tau, kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = elbo_batch(f, v, g, queue, mu, omega, temps, flags)
+            free = full_batch_elbo_grads(f, v, g, mu, omega, temps, flags)
+        assert_matches_previous_tail(
+            res, previous_tail(f, v, queue, g, mu, omega, temps, flags, include_positive=True)
+        )
+        assert_matches_previous_tail(
+            free, previous_tail(f, v, v, g, mu, omega, temps, flags, include_positive=False)
+        )
+
+        if q_kind == "none":
+            return
+        if q_kind == "fresh":
+            q = free.posterior
+        elif q_kind == "with_zeros":
+            q = rng.random((batch, k)) * (rng.random((batch, k)) < 0.6)
+        else:
+            q = np.eye(k)[rng.integers(0, k, size=batch)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            held = full_batch_elbo_grads(f, v, g, mu, omega, temps, flags, q_override=q)
+        assert_matches_previous_tail(
+            held, previous_tail(f, v, v, g, mu, omega, temps, flags, False, q_override=q)
+        )
+
+    def underflowed_gate_instance(self):
+        """Every g row on omega[0] at kappa = 1e-3: the other gates underflow to 0."""
+        f, v, _, queue, mu, omega = random_instance(seed=31, n=5, k=4, d=4)
+        g = np.tile(omega[0], (5, 1))
+        temps = Temperatures(1.0, 1e-3)
+        assert np.count_nonzero(gating_distribution(g, omega, temps.kappa, PLAIN) == 0.0) == 15
+        return f, v, g, queue, mu, omega, temps
+
+    def test_kl_is_finite_when_a_gate_underflows(self):
+        f, v, g, queue, mu, omega, temps = self.underflowed_gate_instance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)
+        q = res.posterior
+        p = gating_distribution(g, omega, temps.kappa, PLAIN)
+        expected = float(np.mean([
+            sum(q[i, c] * (math.log(q[i, c]) - math.log(p[i, c])) for c in range(4) if q[i, c] > 0)
+            for i in range(5)
+        ]))
+        assert math.isfinite(res.kl_term)
+        assert math.isclose(res.kl_term, expected, rel_tol=0.0, abs_tol=1e-12)
+        assert math.isfinite(res.entropy)
+
+    def test_held_responsibilities_against_a_zero_gate_give_infinite_kl(self):
+        """q > 0 where p = 0 keeps KL = +inf, the KL's value there, without a warning."""
+        f, v, g, _, mu, omega, temps = self.underflowed_gate_instance()
+        q = np.full((5, 4), 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN, q_override=q)
+        assert res.kl_term == math.inf
+        assert math.isfinite(res.entropy)

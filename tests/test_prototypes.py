@@ -154,6 +154,20 @@ class TestAccumulator:
         np.testing.assert_array_equal(batched.sums, single.sums)
         np.testing.assert_array_equal(batched.counts, single.counts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 6), size=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    def test_counts_match_add_at(self, k, size, seed):
+        """The bincount of a batch's labels adds the counts np.add.at would."""
+        rng = make_rng(seed)
+        acc = PrototypeAccumulator(k, 2)
+        acc.counts[:] = rng.integers(0, 100, size=k)
+        expected = acc.counts.copy()
+        labels = rng.integers(1, k + 1, size=size)
+        np.add.at(expected, labels - 1, 1)
+        acc.add(rng.standard_normal((size, k, 2)), labels)
+        assert acc.counts.dtype == np.int64
+        np.testing.assert_array_equal(acc.counts, expected)
+
     def test_reset(self):
         acc = PrototypeAccumulator(2, 2)
         acc.add(np.ones((2, 2)), 1)

@@ -37,6 +37,7 @@ from mice.trainer import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     TrainConfig,
+    _sgd_step,
     classical_em_run,
     evaluate,
     fit,
@@ -157,6 +158,32 @@ class TestConfig:
         assert cfg.temps.tau == 0.3 and cfg.temps.kappa == 2.0
         assert cfg.flags.a4_single_head and not cfg.flags.a3_uniform_gating
         assert cfg.augmentation.sigma == 0.2
+
+
+class TestSgdStep:
+    def test_matches_the_textbook_formula_bitwise(self):
+        """In place with one temporary: buf = m buf + (g + wd p); p -= lr buf."""
+        cfg = tiny_config(sgd_momentum=0.9, weight_decay=3e-4)
+        rng = make_rng(41)
+        param, grad, buf = (
+            rng.standard_normal(257) * 10.0 ** rng.integers(-6, 6, 257) for _ in range(3)
+        )
+        grad_before = grad.copy()
+        want_buf = cfg.sgd_momentum * buf + (grad + cfg.weight_decay * param)
+        want_param = param - 0.37 * want_buf
+        _sgd_step(param, grad, buf, 0.37, cfg)
+        assert buf.tobytes() == want_buf.tobytes()
+        assert param.tobytes() == want_param.tobytes()
+        assert grad.tobytes() == grad_before.tobytes()
+
+    def test_derived_views_follow_a_replaced_config(self):
+        """The cached temps, flags and augmentation belong to their own config."""
+        cfg = tiny_config(tau=0.3)
+        assert cfg.temps.tau == 0.3 and cfg.temps is cfg.temps
+        other = replace(cfg, tau=0.5, a3_uniform_gating=True, aug_rho=0.2)
+        assert other.temps.tau == 0.5 and other.flags.a3_uniform_gating
+        assert other.augmentation.rho == 0.2
+        assert cfg.temps.tau == 0.3 and not cfg.flags.a3_uniform_gating
 
 
 class TestLrSchedule:
