@@ -1,9 +1,15 @@
 """Latent-mixture contrastive model: gating, expert scores, posterior, ELBO.
 
-Shapes follow one convention: expert embedding blocks are (..., K, d) with one
-row per expert, gating embeddings are (..., d), per-point cluster quantities
-are (..., K). Teacher embeddings and queue contents are always constants —
-gradients flow only through student embeddings, gating embeddings and mu.
+Shapes: expert embedding blocks are (..., K, d), one row per expert; gating
+embeddings are (..., d); per-point cluster quantities are (..., K). Teacher
+embeddings and queue contents are constants: gradients flow only through the
+student and gating embeddings and mu. Every scoring entry point checks its
+inputs in one place, `_checked`, against the student blocks f, (B, K, d) or one
+(K, d) block: v has f's shape, the scored blocks are (F >= 1, K, d), mu is
+exactly (K, d) unless a5 drops it, and where gating is scored g is (B, d') and
+omega (K, d'). A wrong shape raises DimensionMismatchError, an empty queue
+EmptyQueueError, a missing mu InvalidInputError, a zero-norm mu row
+ZeroNormError, and tau or kappa <= 0 NonPositiveTemperatureError.
 
 One scoring core, `_score_core`, scores the combined embeddings w = f + mu_hat
 against a positive and F teacher blocks, with 1/tau folded into w. It walks the
@@ -20,13 +26,15 @@ mixture) and `full_batch_elbo_grads` (blocks = all N teacher blocks, own
 included, so no separate positive term). Both ELBOs share one tail,
 `_elbo_result`: posterior, objective, gradients, KL and entropy.
 
-The tail runs one shifted exp per call. From s = log p + l_pos - log Z_hat it
-takes the row max m and e = exp(s - m) once: the posterior is e / sum(e) and
-the ELBO item m + log sum(e), the formulas of `softmax_rows` and
-`logsumexp_rows`, so both match them bit for bit. KL and entropy then come from
-one log q over the same (B, K) array, with terms where q = 0 contributing 0, so
-a gating probability that underflows to 0 leaves KL finite. Its gradient
-through mu reuses the row norms taken when mu was normalized.
+The tail runs one shifted exp per call. From s = log p + l_pos - log Z_hat,
+`_softmax_checked` takes the row max m and e = exp(s - m) once: the posterior
+is e / sum(e) and the ELBO item m + log sum(e), the formulas of `softmax_rows`
+and `logsumexp_rows`, so both match them bit for bit. `posterior` shares it,
+so a NaN or all -inf row is a DegenerateDistributionError on both paths. KL
+and entropy then come from one log q over the same (B, K) array, with terms
+where q = 0 contributing 0, so a gating probability that underflows to 0
+leaves KL finite. Its gradient through mu reuses the row norms taken when mu
+was normalized.
 
 With q computed fresh from the current scores, the evidence-style identity
 sum_k q_k (s_k - log q_k) = logsumexp(s) makes the ELBO value and its
@@ -123,15 +131,6 @@ class EmbeddingQueue:
         if self.fill < self.capacity:
             return self.buffer[: self.fill].copy()
         return np.concatenate((self.buffer[self.head :], self.buffer[: self.head]), axis=0)
-
-
-def _as_blocks(a, name: str) -> np.ndarray:
-    x = np.asarray(a, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[np.newaxis, ...]
-    if x.ndim != 3:
-        raise DimensionMismatchError(f"{name} must be (B, K, d) or (K, d), got {np.shape(a)}")
-    return x
 
 
 def _route_heads(block: np.ndarray, flags: ModelFlags) -> np.ndarray:
@@ -249,20 +248,42 @@ def _score_core(
     return _Scores(l_pos, log_z.T.copy(), sig0.T.copy(), mixture)
 
 
-def _unit_prototypes(
-    mu: np.ndarray | None, flags: ModelFlags
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(mu_hat, row norms of mu) as they enter the scores; None under a5."""
+def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
+    """A scoring entry point's inputs, checked by the shape contract above and routed:
+    (w = f + mu_hat, v, blocks, (mu_hat, row norms of mu), g as (B, d')), with
+    None for mu's pair under a5 and for blocks and g when not given."""
+    fb = np.asarray(f, dtype=np.float64)
+    vb = np.asarray(v, dtype=np.float64)
+    if vb.shape != fb.shape or fb.ndim not in (2, 3):
+        raise DimensionMismatchError(f"v {vb.shape} and f {fb.shape} differ or are not (B, K, d)")
+    if fb.ndim == 2:
+        fb, vb = fb[np.newaxis], vb[np.newaxis]
+    batch, num_k, dim = fb.shape
     if flags.a5_no_class_term:
-        return None
-    if mu is None:
+        protos = None
+    elif mu is None:
         raise InvalidInputError("mu is required unless a5_no_class_term is set")
-    return unit_prototypes_with_norms(mu)
-
-
-def _combined(f: np.ndarray, mu: np.ndarray | None, flags: ModelFlags) -> np.ndarray:
-    protos = _unit_prototypes(mu, flags)
-    return f if protos is None else f + protos[0]
+    elif np.shape(mu) != (num_k, dim):
+        raise DimensionMismatchError(f"mu shape {np.shape(mu)} is not (K, d) = {(num_k, dim)}")
+    else:
+        protos = unit_prototypes_with_norms(mu)
+    if blocks is not None:
+        blocks = np.asarray(blocks, dtype=np.float64)
+        if blocks.ndim != 3 or blocks.shape[1:] != (num_k, dim):
+            raise DimensionMismatchError(f"blocks {blocks.shape} are not (F, {num_k}, {dim})")
+        if blocks.shape[0] == 0:
+            raise EmptyQueueError("the partition needs at least one queued block")
+        blocks = _route_heads(blocks, flags)
+    if g is not None:
+        g = np.asarray(g, dtype=np.float64)
+        if g.ndim == 1:
+            g = g[np.newaxis]
+        if g.ndim != 2 or g.shape[0] != batch or np.shape(omega) != (num_k, g.shape[1]):
+            raise DimensionMismatchError(
+                f"g {g.shape} and omega {np.shape(omega)} do not fit B = {batch}, K = {num_k}"
+            )
+    w = _route_heads(fb, flags)
+    return (w if protos is None else w + protos[0]), _route_heads(vb, flags), blocks, protos, g
 
 
 def gating_distribution(g, omega: np.ndarray, kappa: float, flags: ModelFlags) -> np.ndarray:
@@ -289,13 +310,9 @@ def expert_log_scores(v, f, mu: np.ndarray | None, tau: float, flags: ModelFlags
     """Unnormalized per-expert log score: v_k . (f_k + mu_k) / tau, one per cluster."""
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
-    vb = _as_blocks(v, "v")
-    fb = _as_blocks(f, "f")
-    if vb.shape != fb.shape:
-        raise DimensionMismatchError(f"v shape {vb.shape} and f shape {fb.shape} differ")
-    w = _combined(_route_heads(fb, flags), mu, flags) / tau
-    scores = np.sum(_route_heads(vb, flags) * w, axis=-1)
-    return scores[0] if np.asarray(v).ndim == 2 else scores
+    w, v_eff, *_ = _checked(f, v, mu, flags)
+    scores = np.sum(v_eff * (w / tau), axis=-1)
+    return scores[0] if np.ndim(f) == 2 else scores
 
 
 def log_partition_estimates(
@@ -314,21 +331,9 @@ def log_partition_estimates(
     """
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
-    squeeze = np.asarray(f).ndim == 2
-    fb = _as_blocks(f, "f")
-    vb = _as_blocks(v, "v")
-    qb = np.asarray(queue_blocks, dtype=np.float64)
-    if qb.ndim != 3 or qb.shape[1:] != fb.shape[1:]:
-        raise DimensionMismatchError(
-            f"queue blocks shape {qb.shape} incompatible with embeddings {fb.shape}"
-        )
-    if qb.shape[0] == 0:
-        raise EmptyQueueError("partition estimate needs at least one queued block")
-    w = _combined(_route_heads(fb, flags), mu, flags)
-    scores = _score_core(
-        w, _route_heads(vb, flags), _route_heads(qb, flags), tau, include_positive, mix=False
-    )
-    return scores.log_z[0] if squeeze else scores.log_z
+    w, v_eff, blocks, _, _ = _checked(f, v, mu, flags, blocks=queue_blocks)
+    log_z = _score_core(w, v_eff, blocks, tau, include_positive, mix=False).log_z
+    return log_z[0] if np.ndim(f) == 2 else log_z
 
 
 def posterior(gating_probs, log_scores, log_partitions) -> np.ndarray:
@@ -336,17 +341,29 @@ def posterior(gating_probs, log_scores, log_partitions) -> np.ndarray:
     p = np.asarray(gating_probs, dtype=np.float64)
     s = np.asarray(log_scores, dtype=np.float64)
     z = np.asarray(log_partitions, dtype=np.float64)
-    if p.shape != s.shape or s.shape != z.shape:
+    if p.shape != s.shape or s.shape != z.shape or s.ndim == 0:
         raise DimensionMismatchError(
-            f"shapes differ: gating {p.shape}, scores {s.shape}, partitions {z.shape}"
+            f"shapes differ or are 0-d: gating {p.shape}, scores {s.shape}, partitions {z.shape}"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         logits = np.log(p) + s - z
-    if np.any(np.isnan(logits)):
-        raise DegenerateDistributionError("posterior logits contain NaN")
-    if np.any(np.all(np.isneginf(logits), axis=-1)):
-        raise DegenerateDistributionError("all unnormalized posterior terms are zero")
-    return softmax_rows(logits)
+    return _softmax_checked(logits)[0]
+
+
+def _softmax_checked(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(softmax_rows(s), row max m, row sum of exp(s - m)); a degenerate row raises."""
+    # A NaN anywhere in a row makes its max NaN; only an all -inf row has max -inf.
+    row_max = s.max(axis=-1, keepdims=True, initial=-np.inf)
+    if not np.isfinite(row_max).all():
+        if np.isnan(row_max).any():
+            raise DegenerateDistributionError("posterior logits contain NaN")
+        if np.isneginf(row_max).any():
+            raise DegenerateDistributionError("all unnormalized posterior terms are zero")
+    q = s - row_max
+    np.exp(q, out=q)
+    total = q.sum(axis=-1, keepdims=True)
+    q /= total
+    return q, row_max, total
 
 
 def hard_assign(posterior_rows) -> np.ndarray | int:
@@ -381,37 +398,22 @@ def entropy_mean(q: np.ndarray) -> float:
     return float(np.mean(-np.sum(terms, axis=-1)))
 
 
-def _grad_mu_raw(grad_mu_normalized: np.ndarray, protos: tuple[np.ndarray, np.ndarray]):
-    # Chain through row normalization: (I - m m^T)/||u|| applied per row, with the
-    # (mu_hat, norms) that _unit_prototypes took for the scores.
-    m_hat, norms = protos
-    inner = (grad_mu_normalized * m_hat).sum(axis=-1, keepdims=True)
-    return (grad_mu_normalized - m_hat * inner) / norms
-
-
 def _elbo_result(
-    fb: np.ndarray,
-    v_eff: np.ndarray,
-    blocks: np.ndarray,
-    g: np.ndarray,
-    mu: np.ndarray | None,
+    checked: tuple,
     omega: np.ndarray,
     temps: Temperatures,
     flags: ModelFlags,
     include_positive: bool = True,
     q_override: np.ndarray | None = None,
 ) -> ElboResult:
-    """Scores of fb against v_eff and the (routed) blocks, then the one-pass tail:
-    posterior, batch-mean ELBO, gradients and diagnostics. The callers validate
-    the inputs.
+    """Scores of `_checked`'s (w, v, blocks, protos, g), then the one-pass tail:
+    posterior, batch-mean ELBO, gradients and diagnostics.
 
     Gradient weights are q_override when given (responsibilities held fixed),
     else the fresh posterior, whose ELBO is logsumexp(s) by the evidence identity.
     """
-    batch, num_k, dim = fb.shape
-    protos = _unit_prototypes(mu, flags)
-    f_eff = _route_heads(fb, flags)
-    w = f_eff if protos is None else f_eff + protos[0]
+    w, v_eff, blocks, protos, g = checked
+    batch, num_k, dim = w.shape
     gate = gating_distribution(g, omega, temps.kappa, flags)
     scores = _score_core(w, v_eff, blocks, temps.tau, include_positive)
 
@@ -419,17 +421,7 @@ def _elbo_result(
         log_gate = np.log(gate)
     s = log_gate + scores.l_pos
     s -= scores.log_z
-    # A NaN anywhere in a row makes its max NaN; only an all -inf row has max -inf.
-    row_max = s.max(axis=-1, keepdims=True)
-    if not np.isfinite(row_max).all():
-        if np.isnan(row_max).any():
-            raise DegenerateDistributionError("posterior logits contain NaN")
-        if np.isneginf(row_max).any():
-            raise DegenerateDistributionError("all unnormalized posterior terms are zero")
-    fresh = s - row_max
-    np.exp(fresh, out=fresh)
-    total = fresh.sum(axis=-1, keepdims=True)
-    fresh /= total  # softmax_rows(s)
+    fresh, row_max, total = _softmax_checked(s)
     post = fresh if q_override is None else q_override
     positive = post > 0.0
     log_q = np.log(post, out=np.zeros_like(post), where=positive)  # 0 where q = 0
@@ -457,9 +449,13 @@ def _elbo_result(
     if protos is None:
         grad_mu = np.zeros((num_k, dim))
     else:
-        grad_mu = _grad_mu_raw(scale * grad_w.sum(axis=0), protos)
+        # Chain through row normalization: (I - m m^T)/||mu_k|| applied per row.
+        m_hat, norms = protos
+        grad_mu = scale * grad_w.sum(axis=0)
+        grad_mu -= m_hat * (grad_mu * m_hat).sum(axis=-1, keepdims=True)
+        grad_mu /= norms
     if flags.a4_single_head:
-        grad_f = np.zeros_like(fb)
+        grad_f = np.zeros((batch, num_k, dim))
         grad_f[:, 0, :] = scale * grad_w.sum(axis=1)
     else:
         grad_w *= scale
@@ -505,25 +501,8 @@ def elbo_batch(
     Returns:
         ElboResult; loss = -mean ELBO, gradients already carry the -1/B scaling.
     """
-    fb = _as_blocks(f, "f")
-    vb = _as_blocks(v, "v")
-    gb = np.asarray(g, dtype=np.float64)
-    if gb.ndim == 1:
-        gb = gb[np.newaxis, :]
-    batch, num_k, dim = fb.shape
-    if vb.shape != fb.shape:
-        raise DimensionMismatchError(f"v shape {vb.shape} and f shape {fb.shape} differ")
-    if gb.shape != (batch, omega.shape[1]):
-        raise DimensionMismatchError(f"g shape {gb.shape} incompatible with batch {batch}")
-    if omega.shape[0] != num_k:
-        raise DimensionMismatchError("omega rows must match the number of experts")
-    qb = np.asarray(queue_blocks, dtype=np.float64)
-    if qb.ndim != 3 or qb.shape[1:] != (num_k, dim):
-        raise DimensionMismatchError(f"queue blocks shape {qb.shape} incompatible")
-    if qb.shape[0] == 0:
-        raise EmptyQueueError("elbo_batch needs at least one queued block")
-    v_eff = _route_heads(vb, flags)
-    return _elbo_result(fb, v_eff, _route_heads(qb, flags), gb, mu, omega, temps, flags)
+    checked = _checked(f, v, mu, flags, blocks=queue_blocks, g=g, omega=omega)
+    return _elbo_result(checked, omega, temps, flags)
 
 
 def exact_elbo(
@@ -560,15 +539,14 @@ def full_batch_elbo_grads(
     EM); otherwise q is the fresh posterior and the evidence identity applies.
     Gradient weights equal the supplied or fresh q either way.
     """
-    fb = _as_blocks(f_all, "f_all")
-    v_eff = _route_heads(_as_blocks(v_all, "v_all"), flags)
+    w, v_eff, _, protos, g = _checked(f_all, v_all, mu, flags, g=g_all, omega=omega)
     if q_override is not None:
         q_override = np.asarray(q_override, dtype=np.float64)
-        if q_override.shape != fb.shape[:2]:
+        if q_override.shape != w.shape[:2]:
             raise DimensionMismatchError(
-                f"q shape {q_override.shape} does not match {fb.shape[:2]}"
+                f"q shape {q_override.shape} does not match {w.shape[:2]}"
             )
     return _elbo_result(
-        fb, v_eff, v_eff, g_all, mu, omega, temps, flags, include_positive=False,
+        (w, v_eff, v_eff, protos, g), omega, temps, flags, include_positive=False,
         q_override=q_override,
     )

@@ -19,8 +19,8 @@ run continues exactly as the uninterrupted one.
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,6 +98,10 @@ class TrainConfig:
     aug_rho: float = 0.1
 
     def __post_init__(self):
+        for name in ("tau", "kappa", "lr_initial", "weight_decay", "aug_sigma"):
+            # NaN fails too, and so does an int too large for a float (from JSON).
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         checks = [
             (self.tau > 0, "tau must be > 0"),
             (self.kappa > 0, "kappa must be > 0"),
@@ -422,13 +426,6 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
             )
         )
     return {"after_e": after_e, "after_m": after_m}
-
-
-def write_metric_log(path, entries: list[dict]) -> None:
-    """Newline-delimited JSON, one object per epoch."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 # checkpoint.py imports TrainConfig and TrainState from this module, so its

@@ -176,6 +176,7 @@ def test_c08_exact_posterior_matches_bayes_oracle():
     assert worst <= 1e-10
 
 
+@pytest.mark.slow
 def test_c09_end_to_end_beats_two_stage_baseline():
     mice_accs, two_stage_accs = [], []
     for seed in range(5):

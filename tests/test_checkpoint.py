@@ -8,6 +8,7 @@ to the same bytes, and evaluate to the labels recorded when it was written.
 
 import copy
 import json
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -203,6 +204,18 @@ class TestValidation:
     def test_config_type_errors(self, tmp_path, edit):
         with pytest.raises(CorruptCheckpointError):
             load_bytes(tmp_path, with_json(FIXTURE.read_bytes(), "config", edit))
+
+    @pytest.mark.parametrize("key", ["tau", "kappa", "lr_initial", "weight_decay", "aug_sigma"])
+    def test_infinite_config_value_is_corrupt(self, tmp_path, key):
+        """json writes inf as the non-standard Infinity, which Python's reader accepts.
+        An integer beyond the float range is no finite float either."""
+        data = with_json(FIXTURE.read_bytes(), "config", lambda c: {**c, key: math.inf})
+        assert b"Infinity" in data
+        with pytest.raises(CorruptCheckpointError, match=f"{key} must be finite"):
+            load_bytes(tmp_path, data)
+        data = with_json(FIXTURE.read_bytes(), "config", lambda c: {**c, key: 10**400})
+        with pytest.raises(CorruptCheckpointError, match=f"{key} must be finite"):
+            load_bytes(tmp_path, data)
 
     def test_int_for_float_config_value_loads(self, tmp_path):
         data = with_json(FIXTURE.read_bytes(), "config", lambda c: {**c, "tau": 1})

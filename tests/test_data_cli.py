@@ -336,6 +336,21 @@ class TestCli:
         assert report["config"]["kappa"] == 0.001
         assert all(math.isfinite(entry["kl"]) for entry in report["epochs"])
 
+    @pytest.mark.parametrize(
+        "line",
+        ["tau = inf", "kappa = inf", "lr_initial = inf", "weight_decay = inf", "aug_sigma = nan"],
+    )
+    def test_train_rejects_a_non_finite_config_value(self, workdir, capsys, line):
+        """inf or nan for an unbounded float is exit 1 and one line naming the key,
+        before any training."""
+        (workdir / "bad.txt").write_text(line + "\n")
+        code = cli_main([
+            "train", "--config", str(workdir / "bad.txt"), "--data", str(workdir / "data.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {line.split()[0]} must be finite")
+
     def test_eval_matches_training_run(self, workdir):
         assert cli_main([
             "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),

@@ -39,11 +39,16 @@ from mice.model import (
     posterior,
 )
 from mice import model
-from mice.model import _combined, _needs_shift, _route_heads, _score_core
+from mice.model import _needs_shift, _route_heads, _score_core
 from mice.numcore import logsumexp_rows, make_rng, normalize_rows, softmax_rows
-from mice.prototypes import max_mahalanobis_centers
+from mice.prototypes import max_mahalanobis_centers, normalized_prototypes
 
 PLAIN = ModelFlags()
+
+
+def _combined(f, mu, flags):
+    """w = f + mu_hat as the scoring core takes it; f alone under a5."""
+    return f if flags.a5_no_class_term else f + normalized_prototypes(mu)
 
 
 def random_instance(seed, n=6, k=3, d=4, fill=5):
@@ -887,3 +892,117 @@ class TestElboTail:
             res = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN, q_override=q)
         assert res.kl_term == math.inf
         assert math.isfinite(res.entropy)
+
+
+B, K, D, F = 6, 3, 4, 5
+# Each entry point with the arguments it scores and a call on a dict of them.
+ENTRY_POINTS = {
+    "expert_log_scores": (
+        ("v", "mu"), lambda a: expert_log_scores(a["v"], a["f"], a["mu"], 1.0, PLAIN)
+    ),
+    "log_partition_estimates": (
+        ("v", "mu", "blocks"),
+        lambda a: log_partition_estimates(a["f"], a["v"], a["blocks"], a["mu"], 1.0, PLAIN),
+    ),
+    "elbo_batch": (
+        ("v", "g", "mu", "omega", "blocks"),
+        lambda a: elbo_batch(
+            a["f"], a["v"], a["g"], a["blocks"], a["mu"], a["omega"], Temperatures(), PLAIN
+        ),
+    ),
+    "full_batch_elbo_grads": (
+        ("v", "g", "mu", "omega"),
+        lambda a: full_batch_elbo_grads(
+            a["f"], a["v"], a["g"], a["mu"], a["omega"], Temperatures(), PLAIN
+        ),
+    ),
+    "exact_elbo": (
+        ("v", "g", "mu", "omega"),
+        lambda a: exact_elbo(
+            a["f"], a["v"], a["g"], np.full((B, K), 1.0 / K), a["mu"], a["omega"],
+            Temperatures(), PLAIN,
+        ),
+    ),
+}
+# Malformed shapes per argument, against f of shape (B, K, D) and g of width D.
+MALFORMED = {
+    "v": {"batch": (B - 1, K, D), "experts": (B, K - 1, D), "dim": (B, K, D + 1)},
+    "g": {"batch": (B - 1, D), "dim": (B, D + 1)},
+    "mu": {"experts": (K - 1, D), "dim": (K, D + 1), "one_row": (1, D), "vector": (D,)},
+    "omega": {"experts": (K - 1, D), "dim": (K, D + 1)},
+    "blocks": {"experts": (F, K - 1, D), "dim": (F, K, D + 1)},
+}
+
+
+def well_formed_arguments() -> dict:
+    f, v, g, blocks, mu, omega = random_instance(seed=61, n=B, k=K, d=D, fill=F)
+    return {"f": f, "v": v, "g": g, "blocks": blocks, "mu": mu, "omega": omega}
+
+
+class TestShapeContract:
+    def test_well_formed_arguments_score(self):
+        for _, call in ENTRY_POINTS.values():
+            call(well_formed_arguments())
+
+    @pytest.mark.parametrize(
+        "entry,arg,kind",
+        [
+            (entry, arg, kind)
+            for entry, (args, _) in ENTRY_POINTS.items()
+            for arg in args
+            for kind in MALFORMED[arg]
+        ],
+    )
+    def test_malformed_shape_raises(self, entry, arg, kind):
+        """A wrong batch size, K or d is a DimensionMismatchError, never a numpy
+        broadcast error or a mu of one row broadcast to every expert."""
+        args = well_formed_arguments()
+        args[arg] = np.ones(MALFORMED[arg][kind])
+        with pytest.raises(DimensionMismatchError):
+            ENTRY_POINTS[entry][1](args)
+
+    def test_scalar_posterior_inputs_raise(self):
+        with pytest.raises(DimensionMismatchError):
+            posterior(0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("entry", ["log_partition_estimates", "elbo_batch"])
+    def test_empty_blocks_raise(self, entry):
+        args = well_formed_arguments()
+        args["blocks"] = np.zeros((0, K, D))
+        with pytest.raises(EmptyQueueError):
+            ENTRY_POINTS[entry][1](args)
+
+
+class TestPosteriorPaths:
+    @settings(max_examples=240, deadline=None)
+    @given(
+        batch=st.integers(1, 6),
+        k=st.integers(1, 4),
+        d=st.integers(1, 5),
+        fill=st.integers(1, 6),
+        ablations=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        tau=st.sampled_from([1.0, 0.05, 0.003]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_train_and_evaluate_posteriors_agree_bit_for_bit(
+        self, batch, k, d, fill, ablations, tau, seed
+    ):
+        """elbo_batch's posterior (training) equals posterior() of the three
+        forward entry points (evaluate); tau = 0.003 takes the shifted core."""
+        rng = make_rng(seed)
+        f = normalize_rows(rng.standard_normal((batch, k, d)))
+        v = normalize_rows(rng.standard_normal((batch, k, d)))
+        g = normalize_rows(rng.standard_normal((batch, d)))
+        queue = normalize_rows(rng.standard_normal((fill, k, d)))
+        omega = normalize_rows(rng.standard_normal((k, d)))
+        flags = ModelFlags(*ablations)
+        mu = None if flags.a5_no_class_term else rng.standard_normal((k, d))
+        temps = Temperatures(tau, 1.0)
+        trained = elbo_batch(f, v, g, queue, mu, omega, temps, flags).posterior
+        evaluated = posterior(
+            gating_distribution(g, omega, temps.kappa, flags),
+            expert_log_scores(v, f, mu, tau, flags),
+            log_partition_estimates(f, v, queue, mu, tau, flags),
+        )
+        assert trained.shape == evaluated.shape
+        assert trained.tobytes() == evaluated.tobytes()

@@ -47,7 +47,6 @@ from mice.trainer import (
     save_checkpoint,
     train_step,
     worker_count,
-    write_metric_log,
 )
 
 
@@ -151,6 +150,12 @@ class TestConfig:
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
+            replace(TrainConfig(), **{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["tau", "kappa", "lr_initial", "weight_decay", "aug_sigma"])
+    def test_non_finite_floats_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
             replace(TrainConfig(), **{field: value})
 
     def test_derived_views(self):
@@ -461,16 +466,3 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + struct.pack("<I", 0))
         with pytest.raises(CorruptCheckpointError, match="missing sections"):
             load_checkpoint(path)
-
-
-class TestMetricLog:
-    def test_ndjson_round_trip(self, tmp_path):
-        entries = [
-            {"epoch": 0, "lr": 0.3, "loss": 1.25, "occupancy": [3, 4, 5]},
-            {"epoch": 1, "lr": 0.3, "loss": 1.125, "occupancy": [4, 4, 4]},
-        ]
-        path = tmp_path / "metrics.ndjson"
-        write_metric_log(path, entries)
-        lines = path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == entries
-        assert lines[0] == json.dumps(entries[0], sort_keys=True)
