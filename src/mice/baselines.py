@@ -35,15 +35,13 @@ def spherical_kmeans(
     num_clusters: int,
     init_centroids: np.ndarray,
     max_iters: int = 100,
-    tol: float = 0.0,
 ) -> KMeansResult:
     """Cosine k-means on unit vectors.
 
     Assignment is argmax cosine with ties to the lowest cluster index; the
     update renormalizes each cluster sum and an empty cluster keeps its
-    centroid. Stops at a label fixpoint, after max_iters, or (when tol > 0)
-    once the objective improves by at most tol. The objective is checked to be
-    non-decreasing every iteration.
+    centroid. Stops at a label fixpoint or after max_iters. The objective is
+    checked to be non-decreasing every iteration.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -82,20 +80,17 @@ def spherical_kmeans(
                 centroids[k - 1] = total / norm
         if labels_prev is not None and np.array_equal(labels, labels_prev):
             break
-        if tol > 0.0 and labels_prev is not None and objective - objective_prev <= tol:
-            break
         labels_prev = labels
         objective_prev = objective
     return KMeansResult(labels, centroids, objective, iteration)
 
 
-def best_of_restarts(
-    points: np.ndarray, num_clusters: int, seed: int, restarts: int = KMEANS_RESTARTS
-) -> KMeansResult:
-    """Restart policy: init = K distinct points sampled without replacement, best objective wins."""
+def best_of_restarts(points: np.ndarray, num_clusters: int, seed: int) -> KMeansResult:
+    """KMEANS_RESTARTS runs, each from K distinct points sampled without replacement;
+    the best objective wins."""
     rng = make_rng(seed)
     best: KMeansResult | None = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         chosen = rng.choice(points.shape[0], size=num_clusters, replace=False)
         result = spherical_kmeans(points, num_clusters, points[chosen])
         if best is None or result.objective > best.objective:

@@ -4,13 +4,16 @@ A file is the magic bytes `MICE`, a u32 version and a u32 section count, then
 per section a u16-length UTF-8 name, a u64 payload length and the payload. All
 integers are little-endian. `save_checkpoint` writes these sections, in order:
 
-    config   JSON of TrainConfig.to_dict(), sorted keys
+    config   JSON of TrainConfig.to_dict() plus "detach_posterior": false, sorted keys
     meta     JSON {epoch, queue_head, queue_fill, accum_counts}
     student, teacher, mu, omega, queue, opt, accum   array sections
     rng      JSON of the PCG64 bit-generator state
 
 An array section is a u32 array count, then per array a u16-length UTF-8 name,
 a u8 rank, one u32 per dimension and the data as little-endian float64.
+
+`detach_posterior`, a config key that training never read, is gone from
+TrainConfig but not from v1: save writes it as false, load drops any bool there.
 
 `_array_sections` is the one place that says which arrays each section holds:
 it pairs every v1 name with a live view into a `TrainState`. Each expert head
@@ -33,15 +36,13 @@ import numpy as np
 
 from . import encoder as enc
 from .errors import ConfigError, CorruptCheckpointError, VersionMismatchError
-from .model import EmbeddingQueue
-from .numcore import make_rng
-from .prototypes import PrototypeAccumulator
 from .trainer import TrainConfig, TrainState
 
 CHECKPOINT_MAGIC = b"MICE"
 CHECKPOINT_VERSION = 1
 
 _INT64_MAX = 2**63 - 1
+_LEGACY_KEY = "detach_posterior"  # in every v1 config section; nothing reads it
 
 
 def _array_sections(state: TrainState) -> dict[str, list[tuple[str, np.ndarray]]]:
@@ -102,7 +103,7 @@ def save_checkpoint(state: TrainState, path) -> None:
         "accum_counts": state.accumulator.counts.tolist(),
     }
     sections = [
-        ("config", _json(state.config.to_dict())),
+        ("config", _json({**state.config.to_dict(), _LEGACY_KEY: False})),
         ("meta", _json(meta)),
         *(
             (section, _entries([(name, _pack_array(a)) for name, a in views]))
@@ -183,24 +184,6 @@ def _check_int(what: str, value, low: int, high: int) -> int:
     return value
 
 
-def _empty_state(config: TrainConfig, layout: enc.Layout) -> TrainState:
-    """Zeroed state of the shapes `config` and `layout` imply, ready to be filled in."""
-    k, d = config.num_clusters, config.embed_dim
-    return TrainState(
-        config=config,
-        student=enc.Params(layout),
-        teacher=enc.Params(layout.teacher),
-        mu=np.zeros((k, d)),
-        omega=np.zeros((k, d)),
-        queue=EmbeddingQueue(config.queue_size, k, d),
-        accumulator=PrototypeAccumulator(k, d),
-        opt_student=np.zeros(layout.size),
-        opt_mu=np.zeros((k, d)),
-        epoch=0,
-        rng=make_rng(0),
-    )
-
-
 def load_checkpoint(path) -> TrainState:
     """Inverse of save_checkpoint.
 
@@ -214,7 +197,10 @@ def load_checkpoint(path) -> TrainState:
     sections = _read_sections(data)
     _require(sections, ("config", "meta", "rng", "student"))
     try:
-        config = TrainConfig.from_dict(json.loads(sections["config"].decode("utf-8")))
+        config = json.loads(sections["config"].decode("utf-8"))
+        if isinstance(config, dict) and not isinstance(config.pop(_LEGACY_KEY, False), bool):
+            raise CorruptCheckpointError(f"config key {_LEGACY_KEY!r} is not a bool")
+        config = TrainConfig.from_dict(config)
         meta = json.loads(sections["meta"].decode("utf-8"))
         rng_state = json.loads(sections["rng"].decode("utf-8"))
     except (ValueError, ConfigError) as exc:
@@ -234,7 +220,7 @@ def load_checkpoint(path) -> TrainState:
     # than the file holds; this bounds the allocation below by the file's size.
     if 8 * max(layout.size, config.queue_size * k * d) > len(data):
         raise CorruptCheckpointError("the stored config needs more array data than the file holds")
-    state = _empty_state(config, layout)
+    state = TrainState.zeros(config, layout)
     table = _array_sections(state)
     if first.shape != table["student"][0][1].shape:
         raise CorruptCheckpointError(bad_first)

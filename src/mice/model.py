@@ -286,19 +286,19 @@ def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
     return (w if protos is None else w + protos[0]), _route_heads(vb, flags), blocks, protos, g
 
 
-def gating_distribution(g, omega: np.ndarray, kappa: float, flags: ModelFlags) -> np.ndarray:
-    """p(z | x) over K clusters from the gating embedding; uniform under a3."""
+def gating_distribution(g, omega, kappa: float, flags: ModelFlags) -> np.ndarray:
+    """p(z | x) over K clusters from gating embeddings g, (B, d') or one (d',), and
+    gating prototypes omega, (K >= 1, d'); uniform under a3."""
     if not kappa > 0.0:
         raise NonPositiveTemperatureError(f"kappa {kappa!r} must be > 0")
     gb = np.asarray(g, dtype=np.float64)
+    omega = np.asarray(omega, dtype=np.float64)
+    k = omega.shape[0] if omega.ndim == 2 else 0
+    if gb.ndim not in (1, 2) or not k or gb.shape[-1] != omega.shape[1]:
+        raise DimensionMismatchError(f"g {gb.shape} and omega {omega.shape} are not (B, d'), (K, d')")
     squeezed = gb.ndim == 1
     if squeezed:
         gb = gb[np.newaxis, :]
-    if gb.shape[-1] != omega.shape[1]:
-        raise DimensionMismatchError(
-            f"gating embedding dim {gb.shape[-1]} does not match omega dim {omega.shape[1]}"
-        )
-    k = omega.shape[0]
     if flags.a3_uniform_gating:
         probs = np.full(gb.shape[:-1] + (k,), 1.0 / k)
     else:
@@ -369,6 +369,8 @@ def _softmax_checked(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def hard_assign(posterior_rows) -> np.ndarray | int:
     """Argmax cluster per row, 1-indexed; ties resolve to the lowest index."""
     q = np.asarray(posterior_rows, dtype=np.float64)
+    if q.ndim == 0 or not q.shape[-1]:
+        raise DimensionMismatchError(f"posterior rows {q.shape} have no clusters")
     labels = np.argmax(q, axis=-1) + 1
     return int(labels) if q.ndim == 1 else labels
 
@@ -394,6 +396,9 @@ class ElboResult:
 
 def entropy_mean(q: np.ndarray) -> float:
     """Mean over rows of the entropy of posterior rows q, with 0 log 0 = 0."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim == 0 or not q.size:
+        raise DimensionMismatchError(f"posterior rows {q.shape} are 0-d or empty")
     terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
     return float(np.mean(-np.sum(terms, axis=-1)))
 

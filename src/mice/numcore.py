@@ -66,10 +66,11 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(m), axis=-1))
 
 
-def normalize_rows(m: np.ndarray, *, eps: float = ZERO_NORM_EPS) -> np.ndarray:
-    """Single-pass row normalization for batched embeddings (unit within ~1e-15)."""
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Single-pass row normalization for batched embeddings (unit within ~1e-15);
+    a row norm at or below ZERO_NORM_EPS is a ZeroNormError."""
     norms = row_norms(m)
-    if np.any(norms <= eps):
+    if np.any(norms <= ZERO_NORM_EPS):
         raise ZeroNormError("row norm at or below the zero floor")
     return m / norms[..., np.newaxis]
 

@@ -31,7 +31,6 @@ from . import encoder as enc
 from .data import Dataset
 from .errors import (
     ConfigError,
-    FlagMismatchError,
     InvalidInputError,
     NonFiniteLossError,
 )
@@ -93,7 +92,6 @@ class TrainConfig:
     a3_uniform_gating: bool = False
     a4_single_head: bool = False
     a5_no_class_term: bool = False
-    detach_posterior: bool = False
     aug_sigma: float = 0.1
     aug_rho: float = 0.1
 
@@ -190,6 +188,26 @@ class TrainState:
     epoch: int
     rng: np.random.Generator
 
+    @classmethod
+    def zeros(cls, config: TrainConfig, layout: enc.Layout) -> "TrainState":
+        """Zeroed state of the shapes `config` and the student `layout` imply, at
+        epoch 0 with the config's seeded stream; `init_state` and `load_checkpoint`
+        fill it in."""
+        k, d = config.num_clusters, config.embed_dim
+        return cls(
+            config=config,
+            student=enc.Params(layout),
+            teacher=enc.Params(layout.teacher),
+            mu=np.zeros((k, d)),
+            omega=np.zeros((k, d)),
+            queue=EmbeddingQueue(config.queue_size, k, d),
+            accumulator=PrototypeAccumulator(k, d),
+            opt_student=np.zeros(layout.size),
+            opt_mu=np.zeros((k, d)),
+            epoch=0,
+            rng=make_rng(config.seed),
+        )
+
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     """Learning rate for the given 0-based epoch; milestones are fractions of total epochs."""
@@ -201,38 +219,21 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     """Seeded state: student init, teacher copy, dispersed omega, random unit mu,
     queue pre-filled by one teacher pass over min(queue_size, N) augmented points."""
-    rng = make_rng(config.seed)
+    d_in, k, d = dataset.points.shape[1], config.num_clusters, config.embed_dim
     try:  # the config sizes these; one too large for memory is a config error
-        student = enc.init_params(
-            dataset.points.shape[1],
-            list(config.hidden_widths),
-            config.embed_dim,
-            config.num_clusters,
-            rng,
-        )
-        teacher = student.teacher_copy()
-        omega = max_mahalanobis_centers(config.num_clusters, config.embed_dim)
-        mu = normalize_rows(rng.uniform(-1.0, 1.0, size=(config.num_clusters, config.embed_dim)))
-        queue = EmbeddingQueue(config.queue_size, config.num_clusters, config.embed_dim)
+        state = TrainState.zeros(config, enc.Layout(d_in, config.hidden_widths, d, k))
+        state.student.vec[...] = enc.init_params(
+            d_in, list(config.hidden_widths), d, k, state.rng
+        ).vec
     except MemoryError as exc:
         raise ConfigError(f"the config needs more memory than is available: {exc}") from exc
+    state.teacher.vec[...] = state.student.vec[: state.teacher.vec.size]
+    state.omega[...] = max_mahalanobis_centers(k, d)
+    state.mu[...] = normalize_rows(state.rng.uniform(-1.0, 1.0, size=(k, d)))
     n_prefill = min(config.queue_size, dataset.points.shape[0])
-    warmup = enc.augment(dataset.points[:n_prefill], rng, config.augmentation)
-    queue.push(enc.forward_teacher(warmup, teacher))
-    acc_ = PrototypeAccumulator(config.num_clusters, config.embed_dim)
-    return TrainState(
-        config=config,
-        student=student,
-        teacher=teacher,
-        mu=mu,
-        omega=omega,
-        queue=queue,
-        accumulator=acc_,
-        opt_student=np.zeros_like(student.vec),
-        opt_mu=np.zeros_like(mu),
-        epoch=0,
-        rng=rng,
-    )
+    warmup = enc.augment(dataset.points[:n_prefill], state.rng, config.augmentation)
+    state.queue.push(enc.forward_teacher(warmup, state.teacher))
+    return state
 
 
 def _sgd_step(param: np.ndarray, grad: np.ndarray, buf: np.ndarray, lr: float, cfg: TrainConfig):
@@ -392,10 +393,9 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
     The teacher stays frozen at its initial copy and augmentation must be off so
     the objective is the same function throughout. Each round records the exact
     ELBO after the E-step (fresh posterior) and after the M-step (one plain
-    gradient step on student, gating and mu with the posterior held fixed).
+    gradient step on student, gating and mu with the posterior held fixed; by the
+    evidence identity in `mice.model` that is the gradient with q fresh).
     """
-    if not config.detach_posterior:
-        raise FlagMismatchError("classical_em_run requires detach_posterior")
     if config.aug_sigma != 0.0 or config.aug_rho != 0.0:
         raise InvalidInputError("classical_em_run requires augmentation turned off")
     state = init_state(config, dataset)

@@ -54,8 +54,9 @@ def check_dispersion() -> list[CheckResult]:
     return results
 
 
-def _numeric_gradient(loss_fn, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of a scalar function over a list of live arrays."""
+def _numeric_gradient(loss_fn, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Central finite differences (step 1e-5) of a scalar function over a list of live arrays."""
+    h = 1e-5
     grads = []
     for arr in arrays:
         g = np.zeros_like(arr)
@@ -89,12 +90,11 @@ def gradient_instance(seed: int = 7):
     return params, mu, omega, batch, v, queue
 
 
-def check_gradients(
-    temps: Temperatures = Temperatures(), flags: ModelFlags = ModelFlags()
-) -> CheckResult:
-    """Analytic gradients of the batch loss versus central differences over every
-    parameter (trunk, expert heads, gating head, raw mu)."""
+def check_gradients() -> CheckResult:
+    """Analytic gradients of the batch loss (unit temperatures, no ablation) versus
+    central differences over every parameter (trunk, expert heads, gating head, raw mu)."""
     params, mu, omega, batch, v, queue = gradient_instance()
+    temps, flags = Temperatures(), ModelFlags()
 
     def loss_fn() -> float:
         f, _ = enc.forward_student(batch, params)

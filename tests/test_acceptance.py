@@ -124,7 +124,7 @@ def test_c07a_partition_estimate_bound():
 def test_c07b_full_batch_em_monotonicity():
     cfg = TrainConfig(
         seed=3, num_clusters=4, embed_dim=8, hidden_widths=(16,),
-        detach_posterior=True, aug_sigma=0.0, aug_rho=0.0, queue_size=8,
+        aug_sigma=0.0, aug_rho=0.0, queue_size=8,
     )
     ds = generate(SyntheticSpec(4, 12, 50, 20.0, seed=3))  # N = 200
     record = classical_em_run(cfg, ds, steps=200, lr=1e-3)

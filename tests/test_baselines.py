@@ -14,6 +14,7 @@ import pytest
 
 from mice import encoder as enc
 from mice.baselines import (
+    KMEANS_RESTARTS,
     best_of_restarts,
     infonce_loss,
     kmeans_equivalence_check,
@@ -122,11 +123,11 @@ class TestSphericalKmeans:
     def test_best_of_restarts_replays_the_draw_sequence(self):
         rng_pts = make_rng(41)
         pts = normalize_rows(rng_pts.standard_normal((30, 4)))
-        best = best_of_restarts(pts, 3, seed=7, restarts=5)
+        best = best_of_restarts(pts, 3, seed=7)
 
         rng = make_rng(7)
         objectives = []
-        for _ in range(5):
+        for _ in range(KMEANS_RESTARTS):
             chosen = rng.choice(30, size=3, replace=False)
             objectives.append(spherical_kmeans(pts, 3, pts[chosen]).objective)
         assert best.objective == max(objectives)

@@ -101,6 +101,15 @@ class TestV1Fixture:
         save_checkpoint(clone, out)
         assert out.read_bytes() != FIXTURE.read_bytes()
 
+    def test_stored_detach_posterior_is_dropped(self, tmp_path):
+        """v1 config sections keep the retired key; save writes false, and a stored
+        true loads into the same state."""
+        data = with_json(FIXTURE.read_bytes(), "config", lambda c: {**c, "detach_posterior": True})
+        assert data != FIXTURE.read_bytes()
+        out = tmp_path / "again.ckpt"
+        save_checkpoint(load_bytes(tmp_path, data), out)
+        assert out.read_bytes() == FIXTURE.read_bytes()
+
 
 class TestValidation:
     def test_renamed_array(self, tmp_path):
@@ -199,6 +208,8 @@ class TestValidation:
             lambda c: {**c, "a4_single_head": 0},
             lambda c: {**c, "lr_milestones": [True]},
             lambda c: [c],
+            lambda c: {**c, "detach_posterior": 0},  # the v1 codec's legacy key is a bool
+            lambda c: {**c, "detach_posterior": "false"},
         ],
     )
     def test_config_type_errors(self, tmp_path, edit):

@@ -5,12 +5,13 @@ import math
 import re
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from mice.cli import cli_main
-from mice.config import load_config, load_synthetic_spec, parse_keyvalue
+from mice.config import _parse, load_config, load_synthetic_spec, parse_keyvalue
 from mice.data import (
     Dataset,
     SyntheticSpec,
@@ -157,7 +158,7 @@ NON_DEFAULT_CONFIG = dict(
     lr_initial=0.1, lr_milestones=(0.25, 0.5, 0.75), lr_decay=0.2, sgd_momentum=0.8,
     weight_decay=1e-3, seed=9, num_clusters=5, embed_dim=6, hidden_widths=(16, 8),
     a3_uniform_gating=True, a4_single_head=True, a5_no_class_term=True,
-    detach_posterior=True, aug_sigma=0.2, aug_rho=0.05,
+    aug_sigma=0.2, aug_rho=0.05,
 )
 
 
@@ -193,7 +194,7 @@ class TestKeyValueFiles:
             "lr_milestones = 0.25, 0.5, 0.75\nlr_decay = 0.2\nsgd_momentum = 0.8\n"
             "weight_decay = 0.0001\nseed = 9\nnum_clusters = 5\nembed_dim = 6\n"
             "hidden_widths = 16, 8\na3_uniform_gating = true\na4_single_head = false\n"
-            "a5_no_class_term = FALSE\ndetach_posterior = True\n"
+            "a5_no_class_term = FALSE\n"
             "aug_sigma = 0.2\naug_rho = 0.05\n"
         )
         cfg = load_config(self.write(tmp_path, text))
@@ -201,7 +202,7 @@ class TestKeyValueFiles:
             tau=0.6, kappa=2.0, queue_size=128, ema_momentum=0.999, batch_size=32,
             epochs=7, lr_initial=0.1, lr_milestones=(0.25, 0.5, 0.75), lr_decay=0.2,
             sgd_momentum=0.8, weight_decay=1e-4, seed=9, num_clusters=5, embed_dim=6,
-            hidden_widths=(16, 8), a3_uniform_gating=True, detach_posterior=True,
+            hidden_widths=(16, 8), a3_uniform_gating=True,
             aug_sigma=0.2, aug_rho=0.05,
         )
 
@@ -222,8 +223,11 @@ class TestKeyValueFiles:
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         table = readme.split("Training config keys (`--config`):", 1)[1].split("\n\n")[1]
-        keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
-        assert keys == [f.name for f in fields(TrainConfig)]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", table, flags=re.MULTILINE)
+        assert [key for key, _ in rows] == [f.name for f in fields(TrainConfig)]
+        types, defaults = get_type_hints(TrainConfig), TrainConfig()
+        for key, text in rows:
+            assert _parse(key, text, types[key]) == getattr(defaults, key), key
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -471,6 +475,15 @@ class TestHostileInputCli:
         capsys.readouterr()
         assert cli_main(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "bad.csv")]) == 1
         assert message in self.one_error_line(capsys)
+
+    def test_train_with_retired_config_key(self, workdir, capsys):
+        (workdir / "old.txt").write_text(CONFIG_TEXT + "detach_posterior = false\n")
+        capsys.readouterr()
+        code = cli_main([
+            "train", "--config", str(workdir / "old.txt"), "--data", str(workdir / "data.csv"),
+        ])
+        assert code == 1
+        assert "unknown config key 'detach_posterior'" in self.one_error_line(capsys)
 
     def test_train_with_negative_seed(self, workdir, capsys):
         (workdir / "neg.txt").write_text(CONFIG_TEXT.replace("seed = 2", "seed = -1"))

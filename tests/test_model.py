@@ -30,6 +30,7 @@ from mice.model import (
     ModelFlags,
     Temperatures,
     elbo_batch,
+    entropy_mean,
     exact_elbo,
     expert_log_scores,
     full_batch_elbo_grads,
@@ -971,6 +972,47 @@ class TestShapeContract:
         args["blocks"] = np.zeros((0, K, D))
         with pytest.raises(EmptyQueueError):
             ENTRY_POINTS[entry][1](args)
+
+
+OMEGA = max_mahalanobis_centers(K, D)
+G = np.ones((2, D))
+A3 = ModelFlags(a3_uniform_gating=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gating_distribution(G, np.ones(D), 1.0, PLAIN),
+        lambda: gating_distribution(G, [1.0] * D, 1.0, PLAIN),
+        lambda: gating_distribution(G, np.zeros((0, D)), 1.0, PLAIN),
+        lambda: gating_distribution(G, np.zeros((0, D)), 1.0, A3),
+        lambda: gating_distribution(np.ones((2, 2, D)), OMEGA, 1.0, PLAIN),
+        lambda: gating_distribution(np.ones((2, 2, D)), OMEGA, 1.0, A3),
+        lambda: gating_distribution(1.0, OMEGA, 1.0, PLAIN),
+        lambda: entropy_mean([]),
+        lambda: entropy_mean(0.5),
+        lambda: hard_assign(np.zeros((3, 0))),
+        lambda: hard_assign([]),
+        lambda: hard_assign(0.5),
+    ],
+    ids=[
+        "gating-1d-omega", "gating-list-1d-omega", "gating-0-row-omega", "gating-0-row-omega-a3",
+        "gating-3d-g", "gating-3d-g-a3", "gating-0d-g", "entropy-empty-list", "entropy-0d",
+        "hard-assign-0-columns", "hard-assign-empty-list", "hard-assign-0d",
+    ],
+)
+def test_public_helpers_reject_malformed_shapes(call):
+    """Outside `_checked`'s contract too, a malformed shape is a DimensionMismatchError,
+    not a numpy error or an array of the wrong shape."""
+    with pytest.raises(DimensionMismatchError):
+        call()
+
+
+def test_public_helpers_take_lists():
+    g = make_rng(5).standard_normal((3, D))
+    gate = gating_distribution(g, OMEGA, 0.5, PLAIN)
+    assert gating_distribution(g.tolist(), OMEGA.tolist(), 0.5, PLAIN).tobytes() == gate.tobytes()
+    assert entropy_mean(gate.tolist()) == entropy_mean(gate)
 
 
 class TestPosteriorPaths:

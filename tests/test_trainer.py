@@ -19,7 +19,6 @@ from mice.errors import (
     ConfigError,
     CorruptCheckpointError,
     DegenerateDistributionError,
-    FlagMismatchError,
     InvalidInputError,
     TooManyClustersError,
     VersionMismatchError,
@@ -383,18 +382,14 @@ class TestEvaluate:
 
 
 class TestClassicalEm:
-    def test_requires_detached_posterior(self):
-        with pytest.raises(FlagMismatchError):
-            classical_em_run(tiny_config(aug_sigma=0.0, aug_rho=0.0), tiny_dataset(), 1, 1e-3)
-
     def test_requires_augmentation_off(self):
         with pytest.raises(InvalidInputError):
-            classical_em_run(tiny_config(detach_posterior=True), tiny_dataset(), 1, 1e-3)
+            classical_em_run(tiny_config(), tiny_dataset(), 1, 1e-3)
 
     def test_e_step_never_loses_ground(self):
         """The fresh posterior at the new parameters can only improve on the
         bound evaluated with the previous responsibilities."""
-        cfg = tiny_config(detach_posterior=True, aug_sigma=0.0, aug_rho=0.0, queue_size=8)
+        cfg = tiny_config(aug_sigma=0.0, aug_rho=0.0, queue_size=8)
         record = classical_em_run(cfg, tiny_dataset(n_per=8), steps=6, lr=1e-3)
         assert len(record["after_e"]) == 6 and len(record["after_m"]) == 6
         for previous_m, next_e in zip(record["after_m"], record["after_e"][1:]):
