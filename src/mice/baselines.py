@@ -48,8 +48,7 @@ def spherical_kmeans(
         raise InvalidInputError(f"points must be (N, d), got {pts.shape}")
     if not np.all(np.abs(row_norms(pts) - 1.0) <= 1e-6):  # NaN rows fail here too
         raise InvalidInputError("points must be unit-norm rows")
-    if not 1 <= num_clusters <= pts.shape[0]:
-        raise InvalidInputError(f"need 1 <= K <= N, got K={num_clusters}, N={pts.shape[0]}")
+    _check_cluster_count(num_clusters, pts.shape[0])
     centroids = np.array(init_centroids, dtype=np.float64)
     if centroids.shape != (num_clusters, pts.shape[1]):
         raise InvalidInputError(f"init centroids shape {centroids.shape} is wrong")
@@ -85,9 +84,15 @@ def spherical_kmeans(
     return KMeansResult(labels, centroids, objective, iteration)
 
 
+def _check_cluster_count(num_clusters: int, n: int) -> None:
+    if not 1 <= num_clusters <= n:
+        raise InvalidInputError(f"need 1 <= K <= N, got K={num_clusters}, N={n}")
+
+
 def best_of_restarts(points: np.ndarray, num_clusters: int, seed: int) -> KMeansResult:
     """KMEANS_RESTARTS runs, each from K distinct points sampled without replacement;
     the best objective wins."""
+    _check_cluster_count(num_clusters, points.shape[0])
     rng = make_rng(seed)
     best: KMeansResult | None = None
     for _ in range(KMEANS_RESTARTS):
@@ -120,6 +125,7 @@ def two_stage_pipeline(config, dataset: Dataset) -> np.ndarray:
     teacher embeddings. Returns 1-indexed labels."""
     from .trainer import fit
 
+    _check_cluster_count(config.num_clusters, dataset.points.shape[0])  # before any training
     ablated = replace(
         config, a3_uniform_gating=True, a4_single_head=True, a5_no_class_term=True
     )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, ParseError
+from .errors import DimensionMismatchError, InvalidInputError, InvalidSpecError, ParseError
 from .numcore import make_rng, normalize_rows
 from .prototypes import max_mahalanobis_centers
 
@@ -56,11 +56,24 @@ class Dataset:
     truth: np.ndarray | None = None  # (N,) int labels 1..K, or None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        # Real points become float64; integer truth, or integral floats, becomes int64.
+        try:
+            points = np.asarray(self.points)
+            truth = None if self.truth is None else np.asarray(self.truth)
+        except ValueError as exc:  # ragged rows
+            raise InvalidInputError(f"points and truth must be arrays: {exc}") from None
+        if points.dtype.kind not in "biuf":
+            raise InvalidInputError(f"points must be numbers, got dtype {points.dtype}")
+        self.points = points.astype(np.float64, copy=False)
         if self.points.ndim != 2:
             raise DimensionMismatchError(f"points must be (N, d), got {self.points.shape}")
-        if self.truth is not None:
-            self.truth = np.asarray(self.truth, dtype=np.int64)
+        if truth is not None:
+            integral = truth.dtype.kind in "iu" or truth.dtype.kind == "f" and np.all(
+                (truth == np.trunc(truth)) & (abs(truth) < 2.0**63)  # NaN and inf fail
+            )
+            if not integral:
+                raise InvalidInputError("truth labels must be finite integers")
+            self.truth = truth.astype(np.int64, copy=False)
             if self.truth.shape != (self.points.shape[0],):
                 raise DimensionMismatchError("truth length must match the number of points")
 

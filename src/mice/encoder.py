@@ -130,13 +130,7 @@ class Tape:
     x: np.ndarray  # (B, d_in)
     trunk_outputs: list[np.ndarray]  # post-tanh activations, one per trunk layer
     norms: np.ndarray  # norms of the head outputs before normalization
-    normalized: np.ndarray
-    squeezed: bool  # input arrived as a single vector
-
-    @property
-    def output(self) -> np.ndarray:
-        """The embeddings as the caller sees them: without the batch axis for a single vector."""
-        return self.normalized[0] if self.squeezed else self.normalized
+    normalized: np.ndarray  # the embeddings: (B, K, d) for 'heads', (B, d) for 'gating'
 
 
 @dataclass(frozen=True)
@@ -178,24 +172,21 @@ def init_params(
     return params
 
 
-def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x, input_dim: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
-    squeezed = a.ndim == 1
-    if squeezed:
-        a = a[np.newaxis, :]
     if a.ndim != 2 or a.shape[1] != input_dim:
         raise DimensionMismatchError(
             f"input shape {np.shape(x)} incompatible with input_dim {input_dim}"
         )
     if not np.isfinite(a).all():
         raise InvalidInputError("encoder input must be finite")
-    return a, squeezed
+    return a
 
 
 def _forward(x, params: Params, head: str) -> Tape:
     """Trunk, then the stacked expert heads ('heads', (B, K, d)) or the gating head ((B, d))."""
     layout = params.layout
-    xb, squeezed = _as_batch(x, layout.input_dim)
+    xb = _as_batch(x, layout.input_dim)
     trunk_outputs = []
     h = xb
     for w, b in params.trunk:
@@ -203,10 +194,10 @@ def _forward(x, params: Params, head: str) -> Tape:
         h += b
         np.tanh(h, out=h)
         trunk_outputs.append(h)
-    return _head(xb, trunk_outputs, squeezed, params, head)
+    return _head(xb, trunk_outputs, params, head)
 
 
-def _head(xb, trunk_outputs: list[np.ndarray], squeezed: bool, params: Params, head: str) -> Tape:
+def _head(xb, trunk_outputs: list[np.ndarray], params: Params, head: str) -> Tape:
     layout = params.layout
     w, b = params.layer(head)
     raw = (trunk_outputs[-1] if trunk_outputs else xb) @ w.T
@@ -217,24 +208,24 @@ def _head(xb, trunk_outputs: list[np.ndarray], squeezed: bool, params: Params, h
     if (norms <= ZERO_NORM_EPS).any():
         raise ZeroNormError(f"{head} output collapsed to the zero vector")
     raw /= norms[..., np.newaxis]
-    return Tape(head, layout, xb, trunk_outputs, norms, raw, squeezed)
+    return Tape(head, layout, xb, trunk_outputs, norms, raw)
 
 
 def forward_student(x, params: Params) -> tuple[np.ndarray, Tape]:
-    """All K unit-norm expert embeddings: (B, K, d), or (K, d) for a single vector."""
+    """All K unit-norm expert embeddings (B, K, d) of a (B, d_in) batch."""
     tape = _forward(x, params, "heads")
-    return tape.output, tape
+    return tape.normalized, tape
 
 
 def forward_teacher(x, teacher: Params) -> np.ndarray:
-    """Teacher expert embeddings; no tape — teacher outputs are always treated as constants."""
-    return _forward(x, teacher, "heads").output
+    """Teacher expert embeddings (B, K, d); no tape — teacher outputs are always constants."""
+    return _forward(x, teacher, "heads").normalized
 
 
 def forward_gating(x, params: Params) -> tuple[np.ndarray, Tape]:
-    """Unit-norm gating embedding: (B, d), or (d,) for a single vector."""
+    """Unit-norm gating embeddings (B, d) of a (B, d_in) batch."""
     tape = _forward(x, params, "gating")
-    return tape.output, tape
+    return tape.normalized, tape
 
 
 def gating_from_student_tape(tape: Tape, params: Params) -> np.ndarray:
@@ -242,7 +233,7 @@ def gating_from_student_tape(tape: Tape, params: Params) -> np.ndarray:
     output on the tape instead of a second trunk pass; bit-identical to forward_gating."""
     if tape.head != "heads" or tape.layout != params.layout:
         raise TapeMismatchError("expected a forward_student tape of these parameters")
-    return _head(tape.x, tape.trunk_outputs, tape.squeezed, params, "gating").output
+    return _head(tape.x, tape.trunk_outputs, params, "gating").normalized
 
 
 def backward(tape: Tape, upstream, params: Params) -> Params:
@@ -250,8 +241,7 @@ def backward(tape: Tape, upstream, params: Params) -> Params:
 
     Args:
         tape: produced by forward_student (upstream shape (B, K, d)) or
-            forward_gating (upstream shape (B, d)); single-vector calls may pass
-            the squeezed shape.
+            forward_gating (upstream shape (B, d)).
         upstream: dLoss/dEmbedding for the embeddings the tape produced.
         params: the parameters used in the forward call.
 
@@ -260,8 +250,6 @@ def backward(tape: Tape, upstream, params: Params) -> Params:
         gets zero gradients.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    if tape.squeezed and g.ndim == tape.normalized.ndim - 1:
-        g = g[np.newaxis, ...]
     if g.shape != tape.normalized.shape:
         raise TapeMismatchError(
             f"upstream shape {g.shape} does not match tape embeddings {tape.normalized.shape}"

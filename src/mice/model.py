@@ -1,11 +1,12 @@
 """Latent-mixture contrastive model: gating, expert scores, posterior, ELBO.
 
-Shapes: expert embedding blocks are (..., K, d), one row per expert; gating
-embeddings are (..., d); per-point cluster quantities are (..., K). Teacher
-embeddings and queue contents are constants: gradients flow only through the
-student and gating embeddings and mu. Every scoring entry point checks its
-inputs in one place, `_checked`, against the student blocks f, (B, K, d) or one
-(K, d) block: v has f's shape, the scored blocks are (F >= 1, K, d), mu is
+Shapes: per-point arrays carry the batch axis B first, also for one point:
+expert embedding blocks are (B, K, d), one row per expert; gating embeddings
+are (B, d'); cluster quantities are (B, K); the queue holds (F, K, d) blocks.
+Teacher embeddings and queue contents are constants: gradients flow only
+through the student and gating embeddings and mu. Every scoring entry point
+checks its inputs in one place, `_checked`, against the student blocks f,
+(B, K, d): v has f's shape, the scored blocks are (F >= 1, K, d), mu is
 exactly (K, d) unless a5 drops it, and where gating is scored g is (B, d') and
 omega (K, d'). A wrong shape raises DimensionMismatchError, an empty queue
 EmptyQueueError, a missing mu InvalidInputError, a zero-norm mu row
@@ -104,16 +105,14 @@ class EmbeddingQueue:
         return self.buffer.shape[0]
 
     def push(self, blocks: np.ndarray) -> None:
-        """Enqueue one (K, d) block or a (B, K, d) batch, oldest first.
+        """Enqueue a (B, K, d) batch of blocks, oldest first.
 
         A batch is one ring write of at most two slices. When B exceeds the
         capacity only its last `capacity` blocks stay, exactly as after B
-        single pushes.
+        pushes of one block each.
         """
         b = np.asarray(blocks, dtype=np.float64)
-        if b.shape == self.buffer.shape[1:]:
-            b = b[np.newaxis]
-        elif b.ndim != 3 or b.shape[1:] != self.buffer.shape[1:]:
+        if b.ndim != 3 or b.shape[1:] != self.buffer.shape[1:]:
             raise DimensionMismatchError(
                 f"block shape {b.shape} does not match queue blocks {self.buffer.shape[1:]}"
             )
@@ -254,10 +253,8 @@ def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
     None for mu's pair under a5 and for blocks and g when not given."""
     fb = np.asarray(f, dtype=np.float64)
     vb = np.asarray(v, dtype=np.float64)
-    if vb.shape != fb.shape or fb.ndim not in (2, 3):
+    if vb.shape != fb.shape or fb.ndim != 3:
         raise DimensionMismatchError(f"v {vb.shape} and f {fb.shape} differ or are not (B, K, d)")
-    if fb.ndim == 2:
-        fb, vb = fb[np.newaxis], vb[np.newaxis]
     batch, num_k, dim = fb.shape
     if flags.a5_no_class_term:
         protos = None
@@ -276,8 +273,6 @@ def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
         blocks = _route_heads(blocks, flags)
     if g is not None:
         g = np.asarray(g, dtype=np.float64)
-        if g.ndim == 1:
-            g = g[np.newaxis]
         if g.ndim != 2 or g.shape[0] != batch or np.shape(omega) != (num_k, g.shape[1]):
             raise DimensionMismatchError(
                 f"g {g.shape} and omega {np.shape(omega)} do not fit B = {batch}, K = {num_k}"
@@ -287,32 +282,26 @@ def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
 
 
 def gating_distribution(g, omega, kappa: float, flags: ModelFlags) -> np.ndarray:
-    """p(z | x) over K clusters from gating embeddings g, (B, d') or one (d',), and
+    """p(z | x) over K clusters, (B, K), from gating embeddings g, (B, d'), and
     gating prototypes omega, (K >= 1, d'); uniform under a3."""
     if not kappa > 0.0:
         raise NonPositiveTemperatureError(f"kappa {kappa!r} must be > 0")
     gb = np.asarray(g, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
     k = omega.shape[0] if omega.ndim == 2 else 0
-    if gb.ndim not in (1, 2) or not k or gb.shape[-1] != omega.shape[1]:
+    if gb.ndim != 2 or not k or gb.shape[1] != omega.shape[1]:
         raise DimensionMismatchError(f"g {gb.shape} and omega {omega.shape} are not (B, d'), (K, d')")
-    squeezed = gb.ndim == 1
-    if squeezed:
-        gb = gb[np.newaxis, :]
     if flags.a3_uniform_gating:
-        probs = np.full(gb.shape[:-1] + (k,), 1.0 / k)
-    else:
-        probs = softmax_rows((gb @ omega.T) / kappa)
-    return probs[0] if squeezed else probs
+        return np.full((gb.shape[0], k), 1.0 / k)
+    return softmax_rows((gb @ omega.T) / kappa)
 
 
 def expert_log_scores(v, f, mu: np.ndarray | None, tau: float, flags: ModelFlags) -> np.ndarray:
-    """Unnormalized per-expert log score: v_k . (f_k + mu_k) / tau, one per cluster."""
+    """Unnormalized per-expert log score v_k . (f_k + mu_k) / tau, (B, K)."""
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
     w, v_eff, *_ = _checked(f, v, mu, flags)
-    scores = np.sum(v_eff * (w / tau), axis=-1)
-    return scores[0] if np.ndim(f) == 2 else scores
+    return np.sum(v_eff * (w / tau), axis=-1)
 
 
 def log_partition_estimates(
@@ -324,7 +313,7 @@ def log_partition_estimates(
     flags: ModelFlags,
     include_positive: bool = True,
 ) -> np.ndarray:
-    """Queue estimate of the per-expert log partition function.
+    """Queue estimate of the per-expert log partition function, (B, K).
 
     The estimator sums the positive score plus one score per queued block; the
     queue-only variant (include_positive=False) exists for bound experiments.
@@ -332,8 +321,7 @@ def log_partition_estimates(
     if not tau > 0.0:
         raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
     w, v_eff, blocks, _, _ = _checked(f, v, mu, flags, blocks=queue_blocks)
-    log_z = _score_core(w, v_eff, blocks, tau, include_positive, mix=False).log_z
-    return log_z[0] if np.ndim(f) == 2 else log_z
+    return _score_core(w, v_eff, blocks, tau, include_positive, mix=False).log_z
 
 
 def posterior(gating_probs, log_scores, log_partitions) -> np.ndarray:
@@ -366,13 +354,13 @@ def _softmax_checked(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return q, row_max, total
 
 
-def hard_assign(posterior_rows) -> np.ndarray | int:
-    """Argmax cluster per row, 1-indexed; ties resolve to the lowest index."""
+def hard_assign(posterior_rows) -> np.ndarray:
+    """Argmax cluster per row of (B, K) posterior rows, 1-indexed; ties resolve to
+    the lowest index."""
     q = np.asarray(posterior_rows, dtype=np.float64)
-    if q.ndim == 0 or not q.shape[-1]:
-        raise DimensionMismatchError(f"posterior rows {q.shape} have no clusters")
-    labels = np.argmax(q, axis=-1) + 1
-    return int(labels) if q.ndim == 1 else labels
+    if q.ndim != 2 or not q.shape[1]:
+        raise DimensionMismatchError(f"posterior rows {q.shape} are not (B, K >= 1)")
+    return np.argmax(q, axis=1) + 1
 
 
 @dataclass

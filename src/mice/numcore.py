@@ -91,7 +91,7 @@ def log_sum_exp(values) -> float:
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Max-shifted logsumexp over the last axis of a batched array (no validation)."""
     m = np.max(a, axis=-1, keepdims=True)
-    return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(a - m), axis=-1))
+    return m[..., 0] + np.log(np.sum(np.exp(a - m), axis=-1))
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

@@ -76,23 +76,19 @@ class PrototypeAccumulator:
     def add(self, teacher_blocks: np.ndarray, hard_labels) -> None:
         """Add row `label` (1-indexed) of each teacher block to that label's bucket.
 
-        Takes one (K, d) block with an int label, or a (B, K, d) batch with B
-        integer labels. The sums take a batch in row order (np.add.at), so they
-        equal those of B single adds bit for bit; the counts are one bincount.
+        Takes a (B, K, d) batch with B integer labels. The sums take the batch in
+        row order (np.add.at), so they equal those of B one-block adds bit for
+        bit; the counts are one bincount.
         """
         blocks = np.asarray(teacher_blocks, dtype=np.float64)
-        if blocks.shape == self.sums.shape:
-            blocks = blocks[np.newaxis]
-            labels = np.array([int(hard_labels)])
-        elif blocks.ndim == 3 and blocks.shape[1:] == self.sums.shape:
-            labels = np.asarray(hard_labels)
-            if labels.shape != blocks.shape[:1] or labels.dtype.kind not in "iu":
-                raise InvalidInputError(
-                    f"need {blocks.shape[0]} integer labels, got {labels.dtype} {labels.shape}"
-                )
-        else:
+        if blocks.ndim != 3 or blocks.shape[1:] != self.sums.shape:
             raise InvalidInputError(
-                f"teacher block shape {blocks.shape} does not match {self.sums.shape}"
+                f"teacher blocks {blocks.shape} are not (B, K, d) with (K, d) = {self.sums.shape}"
+            )
+        labels = np.asarray(hard_labels)
+        if labels.shape != blocks.shape[:1] or labels.dtype.kind not in "iu":
+            raise InvalidInputError(
+                f"need {blocks.shape[0]} integer labels, got {labels.dtype} {labels.shape}"
             )
         if labels.min(initial=1) < 1 or labels.max(initial=1) > self.num_clusters:
             outside = (labels < 1) | (labels > self.num_clusters)

@@ -31,6 +31,7 @@ from . import encoder as enc
 from .data import Dataset
 from .errors import (
     ConfigError,
+    EmptyInputError,
     InvalidInputError,
     NonFiniteLossError,
 )
@@ -72,7 +73,8 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a run needs besides the dataset. Defaults are desk scale."""
+    """Everything a run needs besides the dataset. Defaults are desk scale. Every
+    construction checks the value types: a bool is no number, an int is a float."""
 
     tau: float = 1.0
     kappa: float = 1.0
@@ -96,6 +98,14 @@ class TrainConfig:
     aug_rho: float = 0.1
 
     def __post_init__(self):
+        for name, spec in self.__dataclass_fields__.items():
+            value, default = getattr(self, name), spec.default
+            if isinstance(default, tuple):
+                ok = isinstance(value, tuple) and all(_of_type(v, type(default[0])) for v in value)
+            else:
+                ok = _of_type(value, type(default))
+            if not ok:
+                raise ConfigError(f"config key {name!r}: {value!r} has the wrong type")
         for name in ("tau", "kappa", "lr_initial", "weight_decay", "aug_sigma"):
             # NaN fails too, and so does an int too large for a float (from JSON).
             if not abs(getattr(self, name)) <= sys.float_info.max:
@@ -146,29 +156,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of to_dict; unknown keys and values of the wrong type are a ConfigError."""
+        """Inverse of to_dict: lists become tuples. Unknown keys and values of the wrong
+        type are a ConfigError."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a mapping, got {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, value in d.items():
-            default = cls.__dataclass_fields__[name].default
-            if isinstance(default, tuple):
-                ok = isinstance(value, (list, tuple)) and all(
-                    _of_type(v, type(default[0])) for v in value
-                )
-            else:
-                ok = _of_type(value, type(default))
-            if not ok:
-                raise ConfigError(f"config key {name!r}: {value!r} has the wrong type")
-            kwargs[name] = tuple(value) if isinstance(default, tuple) else value
-        return cls(**kwargs)
+        return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in d.items()})
 
 
 def _of_type(value, kind: type) -> bool:
-    """JSON value check: bools are not numbers, and an int is also a float."""
+    """Config value check: bools are not numbers, and an int is also a float."""
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     return isinstance(value, int) or (kind is float and isinstance(value, float))
@@ -308,8 +307,10 @@ def fit(
     Returns the final state and one metric entry per epoch: batch-weighted mean
     ELBO/loss, mean posterior entropy, hard-assignment occupancy, learning rate,
     and NMI/ACC/ARI against the training-pass assignments when the dataset
-    carries ground truth.
+    carries ground truth. A dataset with no points is an EmptyInputError.
     """
+    if dataset.points.shape[0] == 0:
+        raise EmptyInputError("fit needs at least one point")
     if state is None:
         state = init_state(config, dataset)
     elif state.config != config:

@@ -220,11 +220,11 @@ def check_partition_bound(instances: int = 1000, seed: int = 19) -> CheckResult:
         fill = int(rng.integers(1, n + 1))
         tau = float(rng.uniform(0.25, 3.0))
         v_all = normalize_rows(rng.standard_normal((n, k, d)))
-        f = normalize_rows(rng.standard_normal((k, d)))
+        f = normalize_rows(rng.standard_normal((1, k, d)))
         mu = normalize_rows(rng.standard_normal((k, d)))
         own = int(rng.integers(0, n))
         queue_idx = rng.choice(n, size=fill, replace=False)
-        positive, queue = v_all[own], v_all[queue_idx]
+        positive, queue = v_all[own : own + 1], v_all[queue_idx]
         # exact: the sum over all N blocks, the own one among them
         log_z = log_partition_estimates(
             f, positive, v_all, mu, tau, flags, include_positive=False

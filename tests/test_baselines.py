@@ -224,7 +224,7 @@ class TestEquivalenceCheck:
         def analytic(assignment):
             acc = PrototypeAccumulator(3, embeddings.shape[1])
             for i, lab in enumerate(assignment):
-                acc.add(np.tile(embeddings[i], (3, 1)), int(lab))
+                acc.add(np.tile(embeddings[i], (1, 3, 1)), [lab])
             return analytic_prototype_update(acc, state.mu)
 
         flipped = labels.copy()

@@ -476,6 +476,17 @@ class TestHostileInputCli:
         assert cli_main(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "bad.csv")]) == 1
         assert message in self.one_error_line(capsys)
 
+    @pytest.mark.parametrize("which", ["skmeans", "two-stage"])
+    def test_baseline_with_more_clusters_than_points(self, workdir, capsys, which):
+        (workdir / "two.csv").write_text("dim_0,dim_1\n1.0,0.0\n0.0,1.0\n")
+        capsys.readouterr()
+        code = cli_main([
+            "baseline", "--which", which, "--config", str(workdir / "config.txt"),
+            "--data", str(workdir / "two.csv"),
+        ])
+        assert code == 1
+        assert "need 1 <= K <= N, got K=3, N=2" in self.one_error_line(capsys)
+
     def test_train_with_retired_config_key(self, workdir, capsys):
         (workdir / "old.txt").write_text(CONFIG_TEXT + "detach_posterior = false\n")
         capsys.readouterr()

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from mice import data
 from mice.data import Dataset, load_dataset, save_dataset
-from mice.errors import DimensionMismatchError, MiceError, ParseError
+from mice.errors import DimensionMismatchError, InvalidInputError, MiceError, ParseError
 
 INT64_MAX = 2**63 - 1
 
@@ -337,3 +337,34 @@ def test_save_load_round_trip_is_bitwise(tmp_path, points, data_):
         assert back.truth is None
     else:
         np.testing.assert_array_equal(back.truth, truth)
+
+
+@pytest.mark.parametrize(
+    "points, truth",
+    [
+        ([["a"]], None),
+        ([[1.0], [2.0, 3.0]], None),
+        ([[1.0 + 1.0j]], None),
+        ([[None]], None),
+        ([[0.0], [1.0]], [1.5, 2]),
+        ([[0.0], [1.0]], np.array([np.nan, 1.0])),
+        ([[0.0], [1.0]], np.array([np.inf, 1.0])),
+        ([[0.0], [1.0]], [1e30, 1.0]),
+        ([[0.0], [1.0]], ["1", "2"]),
+        ([[0.0], [1.0]], [True, False]),
+    ],
+    ids=[
+        "string-point", "ragged-points", "complex-point", "none-point", "fractional-truth",
+        "nan-truth", "inf-truth", "truth-beyond-int64", "string-truth", "bool-truth",
+    ],
+)
+def test_dataset_rejects_malformed_values(points, truth):
+    """Non-numeric points and non-integral or non-finite truth are an InvalidInputError,
+    not a numpy error, a silent truncation or a cast to garbage."""
+    with pytest.raises(InvalidInputError):
+        Dataset(points, truth)
+
+
+def test_dataset_converts_integral_float_truth():
+    ds = Dataset([[0.0], [1.0]], np.array([2.0, 1.0]))
+    assert ds.truth.dtype == np.int64 and ds.truth.tolist() == [2, 1]

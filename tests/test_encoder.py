@@ -52,8 +52,8 @@ class TestForward:
         f, _ = forward_student(np.array([[0.4, -1.1], [2.0, 5.0]]), params)
         assert f.shape == (2, 1, 3)
         np.testing.assert_array_equal(f[:, 0, :], np.tile(e1, (2, 1)))
-        g, _ = forward_gating(np.array([9.0, -3.0]), params)
-        np.testing.assert_array_equal(g, e1)
+        g, _ = forward_gating(np.array([[9.0, -3.0]]), params)
+        np.testing.assert_array_equal(g, e1[np.newaxis])
 
     def test_outputs_are_unit_rows(self):
         params = small_params()
@@ -64,14 +64,6 @@ class TestForward:
         assert g.shape == (7, 4)
         np.testing.assert_allclose(row_norms(f), 1.0, atol=1e-12)
         np.testing.assert_allclose(row_norms(g), 1.0, atol=1e-12)
-
-    def test_single_vector_squeeze(self):
-        params = small_params()
-        x = np.array([0.3, -0.2, 0.9])
-        f_one, _ = forward_student(x, params)
-        f_batch, _ = forward_student(x[np.newaxis, :], params)
-        assert f_one.shape == (2, 4)
-        np.testing.assert_array_equal(f_one, f_batch[0])
 
     def test_teacher_matches_student_after_copy(self):
         params = small_params(seed=5)
@@ -90,12 +82,12 @@ class TestForward:
         assert teacher.layout == params.layout.teacher
         assert "gating.weight" not in teacher.arrays
 
-    @pytest.mark.parametrize("hidden, rows", [((5,), 7), ((6, 5), 300), ((), 4), ((5,), None)])
+    @pytest.mark.parametrize("hidden, rows", [((5,), 7), ((6, 5), 300), ((), 4), ((5,), 1)])
     def test_gating_from_student_tape_is_forward_gating(self, hidden, rows):
         """One trunk pass serves both families: the gating embedding taken from a
-        student tape equals forward_gating's bit for bit (rows=None: one vector)."""
+        student tape equals forward_gating's bit for bit (rows=1: a batch of one)."""
         params = small_params(seed=8, hidden=hidden)
-        x = make_rng(9).standard_normal(3 if rows is None else (rows, 3))
+        x = make_rng(9).standard_normal((rows, 3))
         _, tape = forward_student(x, params)
         g, _ = forward_gating(x, params)
         got = gating_from_student_tape(tape, params)
@@ -141,7 +133,12 @@ class TestForward:
         with pytest.raises(DimensionMismatchError):
             forward_student(np.zeros((2, 5)), params)
         with pytest.raises(InvalidInputError):
-            forward_student(np.array([np.inf, 0.0, 0.0]), params)
+            forward_student(np.array([[np.inf, 0.0, 0.0]]), params)
+        # one unbatched (d_in,) vector is not a (B, d_in) batch
+        for forward, p in ((forward_student, params), (forward_gating, params),
+                           (forward_teacher, params.teacher_copy())):
+            with pytest.raises(DimensionMismatchError):
+                forward(np.zeros(3), p)
 
     def test_init_bounds_and_reproducibility(self):
         """Weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); equal seeds agree."""
@@ -168,9 +165,9 @@ class TestBackward:
         params = Params(Layout(1, (), 2, 1))
         params["heads.weight"][:] = [[0.5], [0.5]]
         params["gating.bias"][:] = [1.0, 0.0]
-        f, tape = forward_student(np.array([2.0]), params)
-        np.testing.assert_allclose(f[0], [1 / math.sqrt(2)] * 2, rtol=1e-15)
-        grads = backward(tape, np.array([[1.0, 0.0]]), params)
+        f, tape = forward_student(np.array([[2.0]]), params)
+        np.testing.assert_allclose(f[0, 0], [1 / math.sqrt(2)] * 2, rtol=1e-15)
+        grads = backward(tape, np.array([[[1.0, 0.0]]]), params)
         np.testing.assert_allclose(
             grads["heads.weight"],
             [[0.7071067811865475], [-0.7071067811865475]],
@@ -265,6 +262,10 @@ class TestBackward:
         _, tape = forward_student(make_rng(3).standard_normal((4, 3)), params)
         with pytest.raises(TapeMismatchError):
             backward(tape, np.zeros((4, 2, 5)), params)
+        # a batch-of-one tape takes a (1, K, d) upstream, not the unbatched (K, d)
+        _, tape = forward_student(make_rng(3).standard_normal((1, 3)), params)
+        with pytest.raises(TapeMismatchError):
+            backward(tape, np.ones((2, 4)), params)
 
     def test_tape_from_other_head_count(self):
         params = small_params(experts=2)
@@ -274,14 +275,6 @@ class TestBackward:
             backward(tape, np.zeros((4, 2, 4)), other)
         with pytest.raises(TapeMismatchError):
             backward(tape, np.zeros((4, 2, 4)), small_params(hidden=(6,)))
-
-    def test_squeezed_upstream_accepted(self):
-        params = small_params()
-        x = np.array([0.1, 0.2, 0.3])
-        _, tape = forward_student(x, params)
-        b1 = backward(tape, np.ones((2, 4)), params)
-        b2 = backward(tape, np.ones((1, 2, 4)), params)
-        assert np.array_equal(b1.vec, b2.vec)
 
     def test_param_arrays_are_live_views(self):
         """Every named array is a view into the one vector, in layout order, and

@@ -94,24 +94,24 @@ def brute_full_elbo(f, v, g, mu, omega, tau, kappa):
 class TestQueue:
     def test_fifo_eviction(self):
         q = EmbeddingQueue(2, 1, 2)
-        a, b, c = (np.full((1, 2), x) for x in (1.0, 2.0, 3.0))
+        a, b, c = (np.full((1, 1, 2), x) for x in (1.0, 2.0, 3.0))
         q.push(a)
         q.push(b)
         q.push(c)
         assert q.fill == 2
-        np.testing.assert_array_equal(q.snapshot(), np.stack([b, c]))
+        np.testing.assert_array_equal(q.snapshot(), np.concatenate([b, c]))
 
     def test_partial_fill_snapshot(self):
         q = EmbeddingQueue(4, 2, 3)
-        block = make_rng(0).standard_normal((2, 3))
+        block = make_rng(0).standard_normal((1, 2, 3))
         q.push(block)
         snap = q.snapshot()
         assert snap.shape == (1, 2, 3)
-        np.testing.assert_array_equal(snap[0], block)
+        np.testing.assert_array_equal(snap[0], block[0])
 
     def test_snapshot_is_a_copy(self):
         q = EmbeddingQueue(2, 1, 2)
-        q.push(np.ones((1, 2)))
+        q.push(np.ones((1, 1, 2)))
         snap = q.snapshot()
         snap[:] = 99.0
         np.testing.assert_array_equal(q.snapshot(), np.ones((1, 1, 2)))
@@ -124,6 +124,8 @@ class TestQueue:
             q.push(np.ones((2, 2)))
         with pytest.raises(DimensionMismatchError):
             q.push(np.ones((3, 2, 2)))
+        with pytest.raises(DimensionMismatchError):  # one unbatched (K, d) block
+            q.push(np.ones((1, 2)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -133,15 +135,16 @@ class TestQueue:
     )
     def test_batch_push_equals_single_pushes(self, capacity, sizes, seed):
         """One batch push per batch leaves buffer, head and fill bit-identical to
-        pushing its blocks one at a time, also when a batch exceeds the capacity."""
+        pushing its blocks one at a time as batches of one, also when a batch
+        exceeds the capacity."""
         rng = make_rng(seed)
         batched = EmbeddingQueue(capacity, 2, 3)
         single = EmbeddingQueue(capacity, 2, 3)
         for size in sizes:
             blocks = rng.standard_normal((size, 2, 3))
             batched.push(blocks)
-            for block in blocks:
-                single.push(block)
+            for i in range(size):
+                single.push(blocks[i : i + 1])
             np.testing.assert_array_equal(batched.buffer, single.buffer)
             assert (batched.head, batched.fill) == (single.head, single.fill)
 
@@ -351,13 +354,13 @@ class TestGating:
     def test_closed_form_two_clusters(self):
         """Dots (1, 0) at kappa 1: (e/(e+1), 1/(e+1))."""
         omega = np.eye(2)
-        p = gating_distribution(np.array([1.0, 0.0]), omega, 1.0, PLAIN)
+        p = gating_distribution(np.array([[1.0, 0.0]]), omega, 1.0, PLAIN)
         e = math.e
-        np.testing.assert_allclose(p, [e / (e + 1), 1 / (e + 1)], rtol=1e-15)
+        np.testing.assert_allclose(p, [[e / (e + 1), 1 / (e + 1)]], rtol=1e-15)
 
     def test_equal_dots_give_uniform(self):
         omega = max_mahalanobis_centers(3, 4)
-        p = gating_distribution(np.zeros(4), omega, 1.0, PLAIN)
+        p = gating_distribution(np.zeros((1, 4)), omega, 1.0, PLAIN)
         np.testing.assert_allclose(p, 1.0 / 3.0, atol=1e-15)
 
     def test_kappa_rescales_logits(self):
@@ -393,14 +396,15 @@ class TestExpertScores:
         """v = f = mu = e_k rows: each score is e_k . (2 e_k) / tau = 2 / tau."""
         eye = np.eye(2)
         np.testing.assert_allclose(
-            expert_log_scores(eye, eye, eye, 1.0, PLAIN), [2.0, 2.0], rtol=1e-15
+            expert_log_scores(eye[np.newaxis], eye[np.newaxis], eye, 1.0, PLAIN), [[2.0, 2.0]],
+            rtol=1e-15,
         )
 
     def test_orthogonal_gives_zero(self):
-        v = np.array([[0.0, 1.0]])
-        f = np.array([[1.0, 0.0]])
+        v = np.array([[[0.0, 1.0]]])
+        f = np.array([[[1.0, 0.0]]])
         mu = np.array([[1.0, 0.0]])
-        np.testing.assert_allclose(expert_log_scores(v, f, mu, 1.0, PLAIN), [0.0], atol=1e-15)
+        np.testing.assert_allclose(expert_log_scores(v, f, mu, 1.0, PLAIN), [[0.0]], atol=1e-15)
 
     def test_halving_tau_doubles_scores(self):
         f, v, _, _, mu, _ = random_instance(seed=5)
@@ -419,20 +423,12 @@ class TestExpertScores:
 
     def test_single_head_routes_row_zero(self):
         """Expert rows beyond 0 are ignored; per-cluster mu still applies."""
-        v = np.eye(2)
-        f = np.eye(2)
+        v = np.eye(2)[np.newaxis]
+        f = np.eye(2)[np.newaxis]
         mu = np.eye(2)
         out = expert_log_scores(v, f, mu, 1.0, ModelFlags(a4_single_head=True))
         # shared pair is (e1, e1); cluster 0 sees w = 2 e1, cluster 1 sees w = e1 + e2
-        np.testing.assert_allclose(out, [2.0, 1.0], rtol=1e-15)
-
-    def test_batch_matches_single(self):
-        f, v, _, _, mu, _ = random_instance(seed=7, n=4)
-        batch = expert_log_scores(v, f, mu, 0.8, PLAIN)
-        for i in range(4):
-            np.testing.assert_array_equal(
-                expert_log_scores(v[i], f[i], mu, 0.8, PLAIN), batch[i]
-            )
+        np.testing.assert_allclose(out, [[2.0, 1.0]], rtol=1e-15)
 
     def test_validation(self):
         eye = np.eye(2)
@@ -447,15 +443,17 @@ class TestLogPartition:
         """Queue holding exactly the positive block: LSE of two equal scores."""
         eye = np.eye(2)
         queue = eye[np.newaxis, ...]
-        scores = expert_log_scores(eye, eye, eye, 1.0, PLAIN)
-        est = log_partition_estimates(eye, eye, queue, eye, 1.0, PLAIN)
+        scores = expert_log_scores(queue, queue, eye, 1.0, PLAIN)
+        est = log_partition_estimates(queue, queue, queue, eye, 1.0, PLAIN)
         np.testing.assert_allclose(est, scores + math.log(2.0), rtol=1e-15)
 
     def test_queue_only_variant_drops_positive(self):
         eye = np.eye(2)
         queue = eye[np.newaxis, ...]
-        scores = expert_log_scores(eye, eye, eye, 1.0, PLAIN)
-        est = log_partition_estimates(eye, eye, queue, eye, 1.0, PLAIN, include_positive=False)
+        scores = expert_log_scores(queue, queue, eye, 1.0, PLAIN)
+        est = log_partition_estimates(
+            queue, queue, queue, eye, 1.0, PLAIN, include_positive=False
+        )
         np.testing.assert_allclose(est, scores, rtol=1e-15)
 
     def test_all_but_self_queue_equals_exact_partition(self):
@@ -465,11 +463,11 @@ class TestLogPartition:
         tau = 0.9
         for i in range(12):
             rest = np.delete(v, i, axis=0)
-            est = log_partition_estimates(f[i], v[i], rest, mu, tau, PLAIN)
+            est = log_partition_estimates(f[i : i + 1], v[i : i + 1], rest, mu, tau, PLAIN)
             for c in range(3):
                 w = f[i, c] + mu_hat[c]
                 z = sum(math.exp(float(v[j, c] @ w) / tau) for j in range(12))
-                np.testing.assert_allclose(est[c], math.log(z), rtol=1e-13)
+                np.testing.assert_allclose(est[0, c], math.log(z), rtol=1e-13)
 
     def test_single_head_ignores_other_queue_rows(self):
         f, v, _, queue, mu, _ = random_instance(seed=9)
@@ -486,7 +484,9 @@ class TestLogPartition:
     def test_empty_queue_rejected(self):
         eye = np.eye(2)
         with pytest.raises(EmptyQueueError):
-            log_partition_estimates(eye, eye, np.zeros((0, 2, 2)), eye, 1.0, PLAIN)
+            log_partition_estimates(
+                eye[np.newaxis], eye[np.newaxis], np.zeros((0, 2, 2)), eye, 1.0, PLAIN
+            )
 
 
 class TestPosterior:
@@ -534,9 +534,9 @@ class TestPosterior:
 
 class TestHardAssign:
     def test_examples(self):
-        assert hard_assign(np.array([0.1, 0.7, 0.2])) == 2
-        assert hard_assign(np.array([0.5, 0.5])) == 1
-        assert isinstance(hard_assign(np.array([0.5, 0.5])), int)
+        assert hard_assign(np.array([[0.1, 0.7, 0.2]])) == 2
+        assert hard_assign(np.array([[0.5, 0.5]])) == 1
+        assert isinstance(hard_assign(np.array([[0.5, 0.5]])), np.ndarray)
 
     def test_batch(self):
         q = np.array([[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]])
@@ -899,20 +899,20 @@ B, K, D, F = 6, 3, 4, 5
 # Each entry point with the arguments it scores and a call on a dict of them.
 ENTRY_POINTS = {
     "expert_log_scores": (
-        ("v", "mu"), lambda a: expert_log_scores(a["v"], a["f"], a["mu"], 1.0, PLAIN)
+        ("f", "v", "mu"), lambda a: expert_log_scores(a["v"], a["f"], a["mu"], 1.0, PLAIN)
     ),
     "log_partition_estimates": (
-        ("v", "mu", "blocks"),
+        ("f", "v", "mu", "blocks"),
         lambda a: log_partition_estimates(a["f"], a["v"], a["blocks"], a["mu"], 1.0, PLAIN),
     ),
     "elbo_batch": (
-        ("v", "g", "mu", "omega", "blocks"),
+        ("f", "v", "g", "mu", "omega", "blocks"),
         lambda a: elbo_batch(
             a["f"], a["v"], a["g"], a["blocks"], a["mu"], a["omega"], Temperatures(), PLAIN
         ),
     ),
     "full_batch_elbo_grads": (
-        ("v", "g", "mu", "omega"),
+        ("f", "v", "g", "mu", "omega"),
         lambda a: full_batch_elbo_grads(
             a["f"], a["v"], a["g"], a["mu"], a["omega"], Temperatures(), PLAIN
         ),
@@ -926,7 +926,9 @@ ENTRY_POINTS = {
     ),
 }
 # Malformed shapes per argument, against f of shape (B, K, D) and g of width D.
+# An unbatched f takes v and g with it, so only the missing batch axis is wrong.
 MALFORMED = {
+    "f": {"unbatched": (K, D)},
     "v": {"batch": (B - 1, K, D), "experts": (B, K - 1, D), "dim": (B, K, D + 1)},
     "g": {"batch": (B - 1, D), "dim": (B, D + 1)},
     "mu": {"experts": (K - 1, D), "dim": (K, D + 1), "one_row": (1, D), "vector": (D,)},
@@ -959,6 +961,8 @@ class TestShapeContract:
         broadcast error or a mu of one row broadcast to every expert."""
         args = well_formed_arguments()
         args[arg] = np.ones(MALFORMED[arg][kind])
+        if arg == "f":
+            args["v"], args["g"] = args["f"], args["g"][0]
         with pytest.raises(DimensionMismatchError):
             ENTRY_POINTS[entry][1](args)
 
@@ -989,16 +993,20 @@ A3 = ModelFlags(a3_uniform_gating=True)
         lambda: gating_distribution(np.ones((2, 2, D)), OMEGA, 1.0, PLAIN),
         lambda: gating_distribution(np.ones((2, 2, D)), OMEGA, 1.0, A3),
         lambda: gating_distribution(1.0, OMEGA, 1.0, PLAIN),
+        lambda: gating_distribution(G[0], OMEGA, 1.0, PLAIN),
+        lambda: gating_distribution(G[0], OMEGA, 1.0, A3),
         lambda: entropy_mean([]),
         lambda: entropy_mean(0.5),
         lambda: hard_assign(np.zeros((3, 0))),
         lambda: hard_assign([]),
         lambda: hard_assign(0.5),
+        lambda: hard_assign([0.1, 0.7, 0.2]),
     ],
     ids=[
         "gating-1d-omega", "gating-list-1d-omega", "gating-0-row-omega", "gating-0-row-omega-a3",
-        "gating-3d-g", "gating-3d-g-a3", "gating-0d-g", "entropy-empty-list", "entropy-0d",
-        "hard-assign-0-columns", "hard-assign-empty-list", "hard-assign-0d",
+        "gating-3d-g", "gating-3d-g-a3", "gating-0d-g", "gating-1d-g", "gating-1d-g-a3",
+        "entropy-empty-list", "entropy-0d", "hard-assign-0-columns", "hard-assign-empty-list",
+        "hard-assign-0d", "hard-assign-1d",
     ],
 )
 def test_public_helpers_reject_malformed_shapes(call):

@@ -101,24 +101,26 @@ class TestDispersedFrame:
 class TestAccumulator:
     def test_hand_buckets(self):
         acc = PrototypeAccumulator(2, 2)
-        acc.add(np.array([[1.0, 0.0], [9.0, 9.0]]), 1)
-        acc.add(np.array([[9.0, 9.0], [1.0, 2.0]]), 2)
-        acc.add(np.array([[0.0, 2.0], [9.0, 9.0]]), 1)
+        acc.add(np.array([[[1.0, 0.0], [9.0, 9.0]]]), [1])
+        acc.add(np.array([[[9.0, 9.0], [1.0, 2.0]]]), [2])
+        acc.add(np.array([[[0.0, 2.0], [9.0, 9.0]]]), [1])
         np.testing.assert_array_equal(acc.sums, [[1.0, 2.0], [1.0, 2.0]])
         np.testing.assert_array_equal(acc.counts, [2, 1])
 
     def test_labels_are_one_indexed(self):
         acc = PrototypeAccumulator(3, 2)
-        block = np.zeros((3, 2))
+        block = np.zeros((1, 3, 2))
         with pytest.raises(LabelOutOfRangeError):
-            acc.add(block, 0)
+            acc.add(block, [0])
         with pytest.raises(LabelOutOfRangeError):
-            acc.add(block, 4)
+            acc.add(block, [4])
 
     def test_block_shape_checked(self):
         acc = PrototypeAccumulator(3, 2)
         with pytest.raises(InvalidInputError):
             acc.add(np.zeros((2, 2)), 1)
+        with pytest.raises(InvalidInputError):  # one unbatched (K, d) block
+            acc.add(np.zeros((3, 2)), 1)
 
     def test_batch_labels_checked_before_any_update(self):
         acc = PrototypeAccumulator(3, 2)
@@ -140,7 +142,7 @@ class TestAccumulator:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batch_add_equals_single_adds(self, k, sizes, seed):
-        """A batch add gives sums and counts bit-identical to one add per row."""
+        """A batch add gives sums and counts bit-identical to one batch-of-one add per row."""
         rng = make_rng(seed)
         batched = PrototypeAccumulator(k, 3)
         single = PrototypeAccumulator(k, 3)
@@ -149,8 +151,8 @@ class TestAccumulator:
             blocks = rng.standard_normal((size, k, 3)) * scales
             labels = rng.integers(1, k + 1, size=size)
             batched.add(blocks, labels)
-            for block, label in zip(blocks, labels):
-                single.add(block, int(label))
+            for i in range(size):
+                single.add(blocks[i : i + 1], labels[i : i + 1])
         np.testing.assert_array_equal(batched.sums, single.sums)
         np.testing.assert_array_equal(batched.counts, single.counts)
 
@@ -170,7 +172,7 @@ class TestAccumulator:
 
     def test_reset(self):
         acc = PrototypeAccumulator(2, 2)
-        acc.add(np.ones((2, 2)), 1)
+        acc.add(np.ones((1, 2, 2)), [1])
         acc.reset()
         assert not np.any(acc.sums)
         assert not np.any(acc.counts)
@@ -183,9 +185,9 @@ class TestAccumulator:
 class TestAnalyticUpdate:
     def test_normalized_bucket_means(self):
         acc = PrototypeAccumulator(2, 2)
-        acc.add(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
-        acc.add(np.array([[0.0, 2.0], [0.0, 0.0]]), 1)
-        acc.add(np.array([[0.0, 0.0], [3.0, 4.0]]), 2)
+        acc.add(np.array([[[1.0, 0.0], [0.0, 0.0]]]), [1])
+        acc.add(np.array([[[0.0, 2.0], [0.0, 0.0]]]), [1])
+        acc.add(np.array([[[0.0, 0.0], [3.0, 4.0]]]), [2])
         mu = analytic_prototype_update(acc, np.eye(2))
         sqrt5 = np.sqrt(5.0)
         np.testing.assert_allclose(mu[0], [1.0 / sqrt5, 2.0 / sqrt5], rtol=1e-15)
@@ -193,7 +195,7 @@ class TestAnalyticUpdate:
 
     def test_empty_bucket_keeps_previous(self):
         acc = PrototypeAccumulator(2, 2)
-        acc.add(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
+        acc.add(np.array([[[1.0, 0.0], [0.0, 0.0]]]), [1])
         prev = np.array([[0.0, 1.0], [3.0, 4.0]])
         mu = analytic_prototype_update(acc, prev)
         np.testing.assert_array_equal(mu[0], [1.0, 0.0])
@@ -201,8 +203,8 @@ class TestAnalyticUpdate:
 
     def test_cancelling_bucket_falls_back(self):
         acc = PrototypeAccumulator(1, 2)
-        acc.add(np.array([[1.0, 0.0]]), 1)
-        acc.add(np.array([[-1.0, 0.0]]), 1)
+        acc.add(np.array([[[1.0, 0.0]]]), [1])
+        acc.add(np.array([[[-1.0, 0.0]]]), [1])
         mu = analytic_prototype_update(acc, np.array([[0.0, 2.0]]))
         np.testing.assert_array_equal(mu, [[0.0, 1.0]])
 
@@ -213,11 +215,11 @@ class TestAnalyticUpdate:
         prev = np.eye(3, 4) + 1.0
 
         acc_fwd = PrototypeAccumulator(3, 4)
-        for b, lab in zip(blocks, labels):
-            acc_fwd.add(b, int(lab))
+        for i in range(100):
+            acc_fwd.add(blocks[i : i + 1], labels[i : i + 1])
         acc_rev = PrototypeAccumulator(3, 4)
-        for b, lab in zip(blocks[::-1], labels[::-1]):
-            acc_rev.add(b, int(lab))
+        for i in range(99, -1, -1):
+            acc_rev.add(blocks[i : i + 1], labels[i : i + 1])
 
         np.testing.assert_array_equal(acc_fwd.counts, acc_rev.counts)
         np.testing.assert_allclose(

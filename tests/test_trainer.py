@@ -19,6 +19,7 @@ from mice.errors import (
     ConfigError,
     CorruptCheckpointError,
     DegenerateDistributionError,
+    EmptyInputError,
     InvalidInputError,
     TooManyClustersError,
     VersionMismatchError,
@@ -145,6 +146,20 @@ class TestConfig:
             ("lr_milestones", (0.0, 0.5)),
             ("lr_milestones", (0.5, 1.0)),
             ("seed", -1),
+            # wrong types, from Python as from JSON
+            ("batch_size", 2.5),
+            ("queue_size", 8.0),
+            ("num_clusters", 3.0),
+            ("embed_dim", 4.0),
+            ("hidden_widths", (5.0,)),
+            ("hidden_widths", [5]),
+            ("tau", "1"),
+            ("seed", 1.5),
+            ("seed", np.int64(1)),
+            ("epochs", True),
+            ("aug_sigma", False),
+            ("a3_uniform_gating", 1),
+            ("lr_milestones", 0.5),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -237,6 +252,11 @@ class TestFit:
         assert log == []
         assert_states_identical(state, init_state(cfg, ds))
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_empty_dataset_raises(self, epochs):
+        with pytest.raises(EmptyInputError):
+            fit(tiny_config(epochs=epochs), Dataset(np.zeros((0, 4))))
+
     def test_bitwise_deterministic(self):
         ds = tiny_dataset()
         state_a, log_a = fit(tiny_config(), ds)
@@ -325,7 +345,7 @@ class TestFit:
     def test_poisoned_queue_raises(self):
         ds = tiny_dataset()
         state = init_state(tiny_config(), ds)
-        state.queue.push(np.full((3, 4), np.inf))
+        state.queue.push(np.full((1, 3, 4), np.inf))
         with np.errstate(invalid="ignore"):
             with pytest.raises(DegenerateDistributionError):
                 train_step(state, ds.points[:8])
