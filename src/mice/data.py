@@ -7,9 +7,13 @@ cluster labels. Floats are written with repr (shortest round-trip), so
 save/load is lossless. Instance identities used in training are row indices and
 are never persisted.
 
-The loader parses whole arrays: all data rows go through numpy's C tokenizer in
-one call, and field counts, finiteness and labels are checked on the results.
-Only when that fails does a per-line scan run, to name the first bad line.
+The loader reads the file in blocks of about _READ_BYTES, each cut after its
+last line feed, so memory stays near one block plus the parsed arrays. Each
+block's rows go through numpy's C tokenizer in one call, and field counts,
+finiteness and labels are checked on the results. Only when that fails does a
+per-line scan of that block run, to name the first bad line. The writer formats
+_WRITE_ROWS rows at a time.
+
 Float fields follow numpy's grammar: Python's `float` syntax without
 underscores or non-ASCII digits, padded by any Unicode whitespace. Labels are
 decimal digits (Unicode category Nd, as re's \\d), from 1 to the int64 maximum.
@@ -18,15 +22,17 @@ decimal digits (Unicode category Nd, as re's \\d), from 1 to the int64 maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, InvalidSpecError, ParseError
-from .numcore import make_rng, normalize_rows
+from .numcore import make_rng, nonzero_row_norms, normalize_rows, of_type
 from .prototypes import max_mahalanobis_centers
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_READ_BYTES = 1 << 18  # load_dataset reads the file in blocks of about this many bytes
+_WRITE_ROWS = 1024  # save_dataset formats this many rows at a time
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in get_type_hints(SyntheticSpec).items():
+            if not of_type(getattr(self, name), kind):
+                raise InvalidSpecError(f"spec key {name!r}: {getattr(self, name)!r} has the wrong type")
         if self.num_clusters < 1:
             raise InvalidSpecError("num_clusters must be >= 1")
         if self.input_dim < 1:
@@ -67,6 +76,10 @@ class Dataset:
         self.points = points.astype(np.float64, copy=False)
         if self.points.ndim != 2:
             raise DimensionMismatchError(f"points must be (N, d), got {self.points.shape}")
+        if self.points.shape[1] == 0:
+            raise InvalidInputError("points must have at least one column")
+        if not np.isfinite(self.points).all():
+            raise InvalidInputError("points must be finite")
         if truth is not None:
             integral = truth.dtype.kind in "iu" or truth.dtype.kind == "f" and np.all(
                 (truth == np.trunc(truth)) & (abs(truth) < 2.0**63)  # NaN and inf fail
@@ -76,6 +89,8 @@ class Dataset:
             self.truth = truth.astype(np.int64, copy=False)
             if self.truth.shape != (self.points.shape[0],):
                 raise DimensionMismatchError("truth length must match the number of points")
+            if self.truth.size and self.truth.min() < 1:
+                raise InvalidInputError("truth labels must be >= 1")
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -87,56 +102,114 @@ def generate(spec: SyntheticSpec) -> Dataset:
     """
     rng = make_rng(spec.seed)
     k, d, n = spec.num_clusters, spec.input_dim, spec.points_per_cluster
-    if 2 <= k <= d + 1:
-        directions = max_mahalanobis_centers(k, d)
-    else:
-        directions = normalize_rows(rng.standard_normal((k, d)))
-    noise = rng.standard_normal((k * n, d)) / np.sqrt(spec.concentration)
-    raw = np.repeat(directions, n, axis=0) + noise
-    points = normalize_rows(raw)
-    truth = np.repeat(np.arange(1, k + 1), n)
+    try:  # the spec sizes these; numpy raises ValueError for sizes beyond the address space
+        if 2 <= k <= d + 1:
+            directions = max_mahalanobis_centers(k, d)
+        else:
+            directions = normalize_rows(rng.standard_normal((k, d)))
+        points = rng.standard_normal((k * n, d))  # the noise, made into the points in place
+        points /= np.sqrt(spec.concentration)
+        points.reshape(k, n, d)[...] += directions[:, np.newaxis, :]
+        points /= nonzero_row_norms(points)[:, np.newaxis]
+        truth = np.repeat(np.arange(1, k + 1), n)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidSpecError(f"the spec needs more memory than is available: {exc}") from exc
     return Dataset(points, truth)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    d = dataset.points.shape[1]
-    header = ",".join(f"dim_{i}" for i in range(d))
-    rows = dataset.points.tolist()
-    if dataset.truth is not None:
+    points, truth = dataset.points, dataset.truth
+    header = ",".join(f"dim_{i}" for i in range(points.shape[1]))
+    if truth is not None:
         header += ",truth"
-        for row, label in zip(rows, dataset.truth.tolist()):
-            row.append(label)
-    with open(path, "w", encoding="utf-8") as fh:  # streamed: no whole-file string
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, len(points), _WRITE_ROWS):
+            rows = points[start : start + _WRITE_ROWS].tolist()
+            if truth is not None:
+                for row, label in zip(rows, truth[start : start + _WRITE_ROWS].tolist()):
+                    row.append(label)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a CSV written by save_dataset; errors carry 1-based line numbers."""
-    try:
-        lines = Path(path).read_bytes().decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # The placeholder makes a break just before the bad byte count as a line.
-        lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"line {lineno}: not valid UTF-8 ({exc.reason})") from None
-    if not lines:
+    """Parse a CSV written by save_dataset; errors carry 1-based line numbers.
+
+    A bad header or row is raised only once every block has been decoded, so bad UTF-8
+    anywhere in the file is the error reported, whatever the block size.
+    """
+    columns, error, parts = None, None, []
+    for lineno, lines in _line_blocks(path):
+        if error is not None:
+            continue
+        try:
+            if columns is None:
+                columns = _header_columns(lines[0])
+                lineno, lines = lineno + 1, lines[1:]
+            rows = [line for line in lines if line.strip()]
+            if rows:
+                parsed = _parse_rows(rows, *columns)
+                parts.append(_scan_lines(lines, lineno, *columns) if parsed is None else parsed)
+        except (ParseError, DimensionMismatchError) as exc:
+            error = exc
+    if error is not None:
+        raise error
+    if columns is None:
         raise ParseError("line 1: empty dataset file")
-    header = lines[0].split(",")
-    has_truth = header[-1] == "truth"
-    dim_columns = header[:-1] if has_truth else header
+    if not parts:
+        raise ParseError("line 2: dataset has a header but no rows")
+    points = np.concatenate([p for p, _ in parts])
+    truth = np.concatenate([t for _, t in parts]) if columns[1] else None
+    return Dataset(points, truth)
+
+
+def _line_blocks(path):
+    """(number of the first line, its lines) for each block of the file, decoded as UTF-8.
+
+    A block is cut after its last line feed, so only the file's last block can end
+    without one. The blocks' splitlines() then add up to the whole text's: "\\r\\n"
+    never straddles a cut, and no UTF-8 sequence holds a line feed byte.
+    """
+    lineno, rest, at_end = 1, b"", False
+    with open(path, "rb") as fh:
+        while not at_end:
+            carried = len(rest)
+            asked = max(_READ_BYTES, carried)  # a line longer than a block doubles the reads
+            block = rest + fh.read(asked)  # no copy while nothing is carried
+            # A buffered read comes back short only at the end of the file. Stopping there
+            # spares a read past the end, which allocates all it asks for and returns nothing.
+            at_end = len(block) - carried < asked
+            # The carried bytes hold no line feed, so only the new ones are searched.
+            cut = len(block) if at_end else block.rfind(b"\n", carried) + 1
+            if cut == 0:  # no line feed yet, or nothing left at the end
+                rest = block
+                continue
+            try:
+                text = str(memoryview(block)[:cut], "utf-8")
+            except UnicodeDecodeError as exc:
+                # The placeholder makes a break just before the bad byte count as a line.
+                before = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+                raise ParseError(f"line {lineno + before - 1}: not valid UTF-8 ({exc.reason})") from None
+            # Each form of the block is freed before the next is built, so at most two coexist.
+            rest = block[cut:]
+            del block
+            lines = text.splitlines()
+            del text
+            yield lineno, lines
+            lineno += len(lines)
+
+
+def _header_columns(header: str) -> tuple[int, bool]:
+    """(d, has_truth) of the header line."""
+    names = header.split(",")
+    has_truth = names[-1] == "truth"
+    dim_columns = names[:-1] if has_truth else names
     if not dim_columns:
         raise ParseError("line 1: no data columns in header")
     for i, name in enumerate(dim_columns):
         if name != f"dim_{i}":
             raise ParseError(f"line 1: expected column dim_{i}, found {name!r}")
-    d = len(dim_columns)
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        raise ParseError("line 2: dataset has a header but no rows")
-    parsed = _parse_rows(rows, d, has_truth)
-    if parsed is None:
-        parsed = _scan_lines(lines, d, has_truth)
-    return Dataset(*parsed)
+    return len(dim_columns), has_truth
 
 
 def _parse_rows(rows: list[str], d: int, has_truth: bool):
@@ -164,12 +237,13 @@ def _parse_rows(rows: list[str], d: int, has_truth: bool):
     return (points, truth) if truth.min() >= 1 else None
 
 
-def _scan_lines(lines: list[str], d: int, has_truth: bool):
-    """The per-line parse, run when the whole-array parse failed: raises for the first bad line."""
+def _scan_lines(lines: list[str], first: int, d: int, has_truth: bool):
+    """The per-line parse of a block whose first line is number `first`, run when the
+    whole-array parse failed: raises for the first bad line."""
     expected_fields = d + (1 if has_truth else 0)
     points = []
     truth = [] if has_truth else None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first):
         if not line.strip():
             continue
         fields = line.split(",")

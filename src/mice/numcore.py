@@ -15,6 +15,13 @@ from .errors import EmptyInputError, InvalidInputError, ZeroNormError
 ZERO_NORM_EPS = 1e-12
 
 
+def of_type(value, kind: type) -> bool:
+    """Settings value check: bools are not numbers, and an int is also a float."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, int) or (kind is float and isinstance(value, float))
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64). Equal seeds produce equal streams on every platform."""
     return np.random.Generator(np.random.PCG64(int(seed)))
@@ -66,13 +73,18 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(m), axis=-1))
 
 
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Single-pass row normalization for batched embeddings (unit within ~1e-15);
-    a row norm at or below ZERO_NORM_EPS is a ZeroNormError."""
+def nonzero_row_norms(m: np.ndarray) -> np.ndarray:
+    """row_norms, where a row norm at or below ZERO_NORM_EPS is a ZeroNormError."""
     norms = row_norms(m)
     if np.any(norms <= ZERO_NORM_EPS):
         raise ZeroNormError("row norm at or below the zero floor")
-    return m / norms[..., np.newaxis]
+    return norms
+
+
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Single-pass row normalization for batched embeddings (unit within ~1e-15);
+    a row norm at or below ZERO_NORM_EPS is a ZeroNormError."""
+    return m / nonzero_row_norms(m)[..., np.newaxis]
 
 
 def log_sum_exp(values) -> float:

@@ -49,7 +49,7 @@ from .model import (
     expert_log_scores,
     posterior,
 )
-from .numcore import make_rng, normalize_rows
+from .numcore import make_rng, normalize_rows, of_type
 from .prototypes import PrototypeAccumulator, analytic_prototype_update, max_mahalanobis_centers
 
 # evaluate() splits work into fixed-size chunks so results do not depend on the
@@ -101,9 +101,9 @@ class TrainConfig:
         for name, spec in self.__dataclass_fields__.items():
             value, default = getattr(self, name), spec.default
             if isinstance(default, tuple):
-                ok = isinstance(value, tuple) and all(_of_type(v, type(default[0])) for v in value)
+                ok = isinstance(value, tuple) and all(of_type(v, type(default[0])) for v in value)
             else:
-                ok = _of_type(value, type(default))
+                ok = of_type(value, type(default))
             if not ok:
                 raise ConfigError(f"config key {name!r}: {value!r} has the wrong type")
         for name in ("tau", "kappa", "lr_initial", "weight_decay", "aug_sigma"):
@@ -164,13 +164,6 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in d.items()})
-
-
-def _of_type(value, kind: type) -> bool:
-    """Config value check: bools are not numbers, and an int is also a float."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, int) or (kind is float and isinstance(value, float))
 
 
 @dataclass

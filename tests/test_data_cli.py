@@ -79,6 +79,36 @@ class TestGenerate:
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seed", 1.5),
+            ("points_per_cluster", 2.5),
+            ("num_clusters", 3.0),
+            ("num_clusters", True),
+            ("input_dim", "4"),
+            ("concentration", "10"),
+            ("concentration", False),
+            ("seed", None),
+            ("points_per_cluster", np.int64(5)),
+        ],
+    )
+    def test_spec_value_types(self, name, value):
+        """Types are checked as TrainConfig's: a bool is no number, an int is also a float."""
+        kwargs = dict(num_clusters=2, input_dim=4, points_per_cluster=5, concentration=1.0)
+        with pytest.raises(InvalidSpecError, match=f"spec key '{name}'.*has the wrong type"):
+            SyntheticSpec(**{**kwargs, name: value})
+        assert SyntheticSpec(**{**kwargs, "concentration": 10}).concentration == 10
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(3, 6, 10**11), (10**11, 6, 10), (3, 10**11, 10), (10**11, 10**11, 10**11)],
+        ids=["points", "clusters", "dims", "beyond-address-space"],
+    )
+    def test_spec_too_large_for_memory(self, sizes):
+        with pytest.raises(InvalidSpecError, match="the spec needs more memory than is available"):
+            generate(SyntheticSpec(*sizes, 10.0))
+
     def test_dataset_validation(self):
         pts = np.zeros((4, 3))
         with pytest.raises(DimensionMismatchError):
@@ -515,6 +545,18 @@ class TestHostileInputCli:
         capsys.readouterr()
         assert cli_main(argv + [option, str(workdir / "bad.txt")]) == 1
         assert "not valid UTF-8 at byte 9" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize("key", ["points_per_cluster", "num_clusters", "input_dim"])
+    def test_gen_data_with_spec_too_large_for_memory(self, workdir, capsys, key):
+        text = "\n".join(
+            line for line in SPEC_TEXT.splitlines() if not line.startswith(key)
+        ) + f"\n{key} = 100000000000\n"
+        (workdir / "huge.txt").write_text(text)
+        capsys.readouterr()
+        code = cli_main(["gen-data", "--spec", str(workdir / "huge.txt"), "--out", str(workdir / "huge.csv")])
+        assert code == 1
+        assert "the spec needs more memory than is available" in self.one_error_line(capsys)
+        assert not (workdir / "huge.csv").exists()
 
     @pytest.mark.parametrize("key", ["queue_size", "hidden_widths"])
     def test_train_with_config_too_large_for_memory(self, workdir, capsys, key):

@@ -6,9 +6,14 @@ arrays or raise the same error class for the same line; the writer must write
 the same bytes. The float grammar is now numpy's, which differs from Python's
 `float` in three token classes that are asserted separately and kept out of
 the oracle's inputs: underscores, non-ASCII digits and U+001F padding.
+
+The loader reads the file in blocks; a second oracle checks that tiny blocks
+give the arrays or the error message of one block holding the whole file, and
+tracemalloc guards bound the memory that loading and saving take.
 """
 
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mice import data
-from mice.data import Dataset, load_dataset, save_dataset
+from mice.data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset
 from mice.errors import DimensionMismatchError, InvalidInputError, MiceError, ParseError
 
 INT64_MAX = 2**63 - 1
@@ -133,7 +138,7 @@ HUGE_LABEL = st.sampled_from([str(INT64_MAX + 1), "99999999999999999999", "1" * 
 
 
 @st.composite
-def csv_texts(draw):
+def csv_lines(draw):
     d = draw(st.integers(1, 3))
     has_truth = draw(st.booleans())
     header = ",".join(f"dim_{i}" for i in range(d)) + (",truth" if has_truth else "")
@@ -159,6 +164,12 @@ def csv_texts(draw):
         if kind == "fields":
             fields = fields[:-1] if draw(st.booleans()) else fields + [draw(GOOD_FLOAT)]
         lines.append(",".join(fields))
+    return lines
+
+
+@st.composite
+def csv_texts(draw):
+    lines = draw(csv_lines())
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
@@ -202,6 +213,116 @@ def test_per_line_scan_agrees_with_the_whole_array_parse(tmp_path, text):
     with mock.patch.object(data, "_parse_rows", return_value=None):
         scanned = outcome(load_dataset, path)
     assert_same_outcome(scanned, fast)
+
+
+LINE_BREAK = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xe9", b"\xc3(", b"\xe2\x80", b"\xed\xa0\x80"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes with mixed line breaks, sometimes no break after the last line, and
+    sometimes a byte sequence that is not UTF-8."""
+    lines = draw(csv_lines())
+    breaks = [draw(LINE_BREAK) for _ in lines]
+    if draw(st.booleans()):
+        breaks[-1] = ""
+    raw = "".join(line + end for line, end in zip(lines, breaks)).encode("utf-8")
+    if draw(st.integers(0, 2)) == 0:  # often late, after a bad row it must outrank
+        at = draw(st.integers(0, len(raw)) | st.integers(len(raw) // 2, len(raw)))
+        raw = raw[:at] + draw(NOT_UTF8) + raw[at:]
+    return raw
+
+
+def load_result(path):
+    """(points bytes, truth bytes or None), or (error class, message)."""
+    try:
+        ds = load_dataset(path)
+    except MiceError as exc:
+        return type(exc), str(exc)
+    return ds.points.tobytes(), None if ds.truth is None else ds.truth.tobytes()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=csv_files(), block=st.integers(1, 64))
+def test_small_read_blocks_load_like_one_block(tmp_path, raw, block):
+    """Any read block size gives the arrays, or the error class and message, of one
+    block holding the whole file."""
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(raw)
+    assert len(raw) < data._READ_BYTES
+    whole = load_result(path)
+    with mock.patch.object(data, "_READ_BYTES", block):
+        assert load_result(path) == whole
+
+
+class TestReadBlocks:
+    def write(self, tmp_path, raw):
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(raw)
+        return path
+
+    def test_bad_utf8_in_a_later_block_outranks_a_bad_row(self, tmp_path):
+        path = self.write(tmp_path, b"dim_0\n0.5\nabc\n" + b"0.25\n" * 50 + b"0.5\xff\n")
+        with mock.patch.object(data, "_READ_BYTES", 8):
+            with pytest.raises(ParseError, match="line 54: not valid UTF-8"):
+                load_dataset(path)
+
+    def test_a_bad_header_waits_for_the_rest_of_the_file(self, tmp_path):
+        path = self.write(tmp_path, b"x\n" + b"0.25\n" * 50)
+        with mock.patch.object(data, "_READ_BYTES", 8):
+            with pytest.raises(ParseError, match="line 1: expected column dim_0, found 'x'"):
+                load_dataset(path)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+    def test_line_numbers_count_across_blocks(self, tmp_path, block):
+        path = self.write(tmp_path, b"dim_0,truth\r\n" + b"0.5,1\r\n\r\n" * 40 + b"0.5,0\r\n")
+        with mock.patch.object(data, "_READ_BYTES", block):
+            with pytest.raises(ParseError, match="line 82: truth label '0'"):
+                load_dataset(path)
+
+    def test_a_line_longer_than_a_block(self, tmp_path):
+        width = 300
+        header = ",".join(f"dim_{i}" for i in range(width))
+        row = ",".join(["0.125"] * width)
+        path = self.write(tmp_path, f"{header}\n{row}\n{row}".encode())
+        with mock.patch.object(data, "_READ_BYTES", 100):
+            np.testing.assert_array_equal(load_dataset(path).points, np.full((2, width), 0.125))
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """20000 points in 16 dims with truth: 6.3 MiB on disk, 2.7 MiB parsed."""
+    path = tmp_path_factory.mktemp("large") / "large.csv"
+    dataset = generate(SyntheticSpec(4, 16, 5000, 10.0, seed=7))
+    save_dataset(dataset, path)
+    return dataset, path
+
+
+def traced_peak(thunk) -> int:
+    thunk()  # warm numpy's and the allocator's caches
+    tracemalloc.start()
+    try:
+        thunk()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_load_peaks_under_eight_mib(large_csv):
+    """About one read block plus the parsed arrays, not the whole file as Python objects."""
+    dataset, path = large_csv
+    assert traced_peak(lambda: load_dataset(path)) < 8 * 2**20
+    back = load_dataset(path)
+    assert back.points.tobytes() == dataset.points.tobytes()
+    np.testing.assert_array_equal(back.truth, dataset.truth)
+
+
+def test_save_peaks_under_two_mib(large_csv, tmp_path):
+    dataset, path = large_csv
+    assert traced_peak(lambda: save_dataset(dataset, tmp_path / "again.csv")) < 2 * 2**20
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 # Tokens mix digits, signs, exponents, padding and the characters on which numpy's
@@ -352,15 +473,23 @@ def test_save_load_round_trip_is_bitwise(tmp_path, points, data_):
         ([[0.0], [1.0]], [1e30, 1.0]),
         ([[0.0], [1.0]], ["1", "2"]),
         ([[0.0], [1.0]], [True, False]),
+        ([[np.nan, 1.0], [0.5, 0.5]], [1, 2]),
+        ([[0.5, -np.inf]], None),
+        ([[0.0], [1.0]], [0, 2]),
+        ([[0.0], [1.0]], [-3, 2]),
+        (np.zeros((2, 0)), None),
+        (np.zeros((0, 0)), None),
     ],
     ids=[
         "string-point", "ragged-points", "complex-point", "none-point", "fractional-truth",
         "nan-truth", "inf-truth", "truth-beyond-int64", "string-truth", "bool-truth",
+        "nan-point", "inf-point", "zero-truth", "negative-truth", "no-columns", "no-rows-no-columns",
     ],
 )
 def test_dataset_rejects_malformed_values(points, truth):
-    """Non-numeric points and non-integral or non-finite truth are an InvalidInputError,
-    not a numpy error, a silent truncation or a cast to garbage."""
+    """Non-numeric or non-finite points, points without columns, and non-integral,
+    non-finite or non-positive truth are an InvalidInputError, not a numpy error, a
+    silent truncation, a cast to garbage or a file that load_dataset refuses."""
     with pytest.raises(InvalidInputError):
         Dataset(points, truth)
 
