@@ -2,30 +2,33 @@
 
 Shapes: per-point arrays carry the batch axis B first, also for one point:
 expert embedding blocks are (B, K, d), one row per expert; gating embeddings
-are (B, d'); cluster quantities are (B, K); the queue holds (F, K, d) blocks.
-Teacher embeddings and queue contents are constants: gradients flow only
-through the student and gating embeddings and mu. Every scoring entry point
-checks its inputs in one place, `_checked`, against the student blocks f,
-(B, K, d): v has f's shape, the scored blocks are (F >= 1, K, d), mu is
-exactly (K, d) unless a5 drops it, and where gating is scored g is (B, d') and
-omega (K, d'). A wrong shape raises DimensionMismatchError, an empty queue
-EmptyQueueError, a missing mu InvalidInputError, a zero-norm mu row
-ZeroNormError, and tau or kappa <= 0 NonPositiveTemperatureError.
+are (B, d'); cluster quantities are (B, K); the queue hands out (F, K, d)
+blocks, stored expert-major as one (K, d, F) ring. Teacher embeddings and
+queue contents are constants: gradients flow only through the student and
+gating embeddings and mu. Every scoring entry point checks its inputs in one
+place, `_checked`, against the student blocks f, (B, K, d): v has f's shape,
+the scored blocks are (F >= 1, K, d), mu is exactly (K, d) unless a5 drops it,
+and where gating is scored g is (B, d') and omega (K, d'). A wrong shape
+raises DimensionMismatchError, an empty queue EmptyQueueError, a missing mu
+InvalidInputError, a zero-norm mu row ZeroNormError, and tau or kappa <= 0
+NonPositiveTemperatureError.
 
 One scoring core, `_score_core`, scores the combined embeddings w = f + mu_hat
-against a positive and F teacher blocks, with 1/tau folded into w. It walks the
-batch in row tiles of at most 1 MiB of logits, so each tile stays in cache
+against a positive and F teacher blocks, with 1/tau folded into w. It walks
+the batch in row tiles of at most 1 MiB of logits, so each tile stays in cache
 while it is multiplied out, exponentiated in place and summed, and, when
 gradients are wanted, multiplied with the blocks again into the softmax
 mixture of the blocks. Only one tile-sized buffer per thread exists, reused
-across calls. A Cauchy-Schwarz bound on |logit|, taken once per call, lets exp
-run on the raw logits when no term can overflow (unit rows at tau >= 1/150);
-otherwise each tile subtracts its exact row max first. Its three callers are
-`elbo_batch` (blocks = the negative queue, the positive a separate partition
-term), `log_partition_estimates` (the `evaluate` path, forward only, no
-mixture) and `full_batch_elbo_grads` (blocks = all N teacher blocks, own
-included, so no separate positive term). Both ELBOs share one tail,
-`_elbo_result`: posterior, objective, gradients, KL and entropy.
+across calls. Both GEMMs read a queue snapshot in place, through its (K, d, F)
+ring; other blocks are first copied into that layout. A Cauchy-Schwarz bound
+on |logit|, taken once per call, lets exp run on the raw logits when no term
+can overflow (unit rows at tau >= 1/150); otherwise each tile subtracts its
+exact row max first. Its three callers are `elbo_batch` (blocks = the negative
+queue, the positive a separate partition term), `log_partition_estimates` (the
+`evaluate` path, forward only, no mixture) and `full_batch_elbo_grads` (blocks
+= all N teacher blocks, own included, so no separate positive term). Both
+ELBOs share one tail, `_elbo_result`: posterior, objective, gradients, KL and
+entropy.
 
 The tail runs one shifted exp per call. From s = log p + l_pos - log Z_hat,
 `_softmax_checked` takes the row max m and e = exp(s - m) once: the posterior
@@ -91,18 +94,30 @@ class Temperatures:
 
 
 class EmbeddingQueue:
-    """Fixed-capacity FIFO ring of (K, d) teacher blocks; pushing when full evicts the oldest."""
+    """Fixed-capacity FIFO ring of (K, d) teacher blocks; pushing when full evicts the oldest.
+
+    The ring is stored expert-major, as one (K, d, F) array, so the scoring
+    core's GEMMs read the queue where it lives, unit-stride along F.
+    """
 
     def __init__(self, capacity: int, num_experts: int, dim: int):
         if capacity < 1:
             raise InvalidInputError(f"capacity {capacity} must be >= 1")
-        self.buffer = np.zeros((capacity, num_experts, dim))
+        self._ring = np.zeros((num_experts, dim, capacity))
         self.head = 0  # next write slot
         self.fill = 0
 
     @property
+    def buffer(self) -> np.ndarray:
+        """The ring's slots as a writable (F, K, d) view, the layout the v1 checkpoint stores.
+
+        A view made on each access, so a deep copy of the queue keeps seeing its own ring.
+        """
+        return self._ring.transpose(2, 0, 1)
+
+    @property
     def capacity(self) -> int:
-        return self.buffer.shape[0]
+        return self._ring.shape[2]
 
     def push(self, blocks: np.ndarray) -> None:
         """Enqueue a (B, K, d) batch of blocks, oldest first.
@@ -112,24 +127,30 @@ class EmbeddingQueue:
         pushes of one block each.
         """
         b = np.asarray(blocks, dtype=np.float64)
-        if b.ndim != 3 or b.shape[1:] != self.buffer.shape[1:]:
+        buffer = self.buffer
+        if b.ndim != 3 or b.shape[1:] != buffer.shape[1:]:
             raise DimensionMismatchError(
-                f"block shape {b.shape} does not match queue blocks {self.buffer.shape[1:]}"
+                f"block shape {b.shape} does not match queue blocks {buffer.shape[1:]}"
             )
         cap = self.capacity
         tail = b[-cap:]  # an over-long batch overwrites its own first blocks
         start = (self.head + b.shape[0] - tail.shape[0]) % cap
         first = min(tail.shape[0], cap - start)
-        self.buffer[start : start + first] = tail[:first]
-        self.buffer[: tail.shape[0] - first] = tail[first:]
+        buffer[start : start + first] = tail[:first]
+        buffer[: tail.shape[0] - first] = tail[first:]
         self.head = (start + tail.shape[0]) % cap
         self.fill = min(self.fill + b.shape[0], cap)
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the stored blocks, oldest first: (fill, K, d)."""
-        if self.fill < self.capacity:
-            return self.buffer[: self.fill].copy()
-        return np.concatenate((self.buffer[self.head :], self.buffer[: self.head]), axis=0)
+        """Read-only (fill, K, d) view of the filled slots in slot order, not oldest first.
+
+        Nothing is copied: the view is valid until the next push, which
+        overwrites slots in place. Partition sums over the blocks depend on
+        their order only by rounding.
+        """
+        view = self.buffer[: self.fill]
+        view.flags.writeable = False
+        return view
 
 
 def _route_heads(block: np.ndarray, flags: ModelFlags) -> np.ndarray:
@@ -154,16 +175,16 @@ _UNSHIFTED_NATS = 300.0
 _scratch = threading.local()
 
 
-def _scratch_buffer(name: str, size: int) -> np.ndarray:
+def _scratch_buffer(name: str, size: int, make=np.empty) -> np.ndarray:
     """The first `size` floats of this thread's buffer `name`, kept across calls.
 
-    The buffer grows to the largest size asked for. Freed after each call, a
-    buffer of this size goes back to the OS and is page-faulted in again on
-    the next call.
+    The buffer grows to the largest size asked for, built by `make(size)`.
+    Freed after each call, a buffer of this size goes back to the OS and is
+    page-faulted in again on the next call.
     """
     buf = getattr(_scratch, name, None)
     if buf is None or buf.size < size:
-        buf = np.empty(size)
+        buf = make(size)
         setattr(_scratch, name, buf)
     return buf[:size]
 
@@ -196,10 +217,14 @@ def _score_core(
     w and positives are (B, K, d), blocks (F, K, d), heads already routed. The
     partition sums the F block terms, plus the positive when include_positive.
     The batch is scored in row tiles of at most _TILE_BYTES of logits, in a
-    per-thread scratch buffer: GEMM, exp in place, row sum and, when mix, the
-    mixture GEMM run on a tile while it is in cache. No (B, K, F)-sized array
-    exists. `_needs_shift` decides once per call whether exp needs the row max
-    subtracted; it does not for unit rows at tau >= 1/150.
+    per-thread scratch buffer: GEMM, exp in place, row sums (a BLAS
+    matrix-vector product with ones) and, when mix, the mixture GEMM run on a
+    tile while it is in cache. No (B, K, F)-sized array exists. Blocks whose
+    (K, d, F) transpose is unit-stride along F, as a queue snapshot's is, are
+    read in place; others are copied into a per-thread (K, d, F) buffer first.
+    Partition sums run in slot order and BLAS summation order. `_needs_shift`
+    decides once per call whether exp needs the row max subtracted; it does
+    not for unit rows at tau >= 1/150.
     """
     w = w / tau
     l_pos = (positives * w).sum(axis=-1)
@@ -207,11 +232,15 @@ def _score_core(
     batch, num_k, dim = w.shape
     num_f = blocks.shape[0]
     rows = max(1, _TILE_BYTES // max(1, num_k * num_f * 8))
-    # The blocks as (K, d, F), copied: every tile's GEMM reads them, ~1.5x
-    # faster than from the strided view.
-    logit_blocks = _scratch_buffer("blocks", blocks.size).reshape(num_k, dim, num_f)
-    np.copyto(logit_blocks, blocks.transpose(1, 2, 0))
+    logit_blocks = blocks.transpose(1, 2, 0)  # (K, d, F): a queue snapshot is read in place
+    if logit_blocks.strides[-1] != logit_blocks.itemsize:
+        # Other blocks are copied once per call: every tile's GEMM reads them,
+        # ~1.5x faster than from a view strided along F.
+        copied = _scratch_buffer("blocks", blocks.size).reshape(num_k, dim, num_f)
+        np.copyto(copied, logit_blocks)
+        logit_blocks = copied
     tiles = _scratch_buffer("tiles", num_k * min(rows, batch) * num_f)
+    ones = _scratch_buffer("ones", num_f, np.ones)
     w_t = w.transpose(1, 0, 2)  # (K, B, d)
     pos_t = l_pos.T
     mix_blocks = blocks.transpose(1, 0, 2)  # (K, F, d)
@@ -229,7 +258,7 @@ def _score_core(
                 np.maximum(row_max, pos_t[:, start:stop], out=row_max)
             tile -= row_max[..., np.newaxis]
         np.exp(tile, out=tile)
-        tile.sum(axis=-1, out=total[:, start:stop])
+        np.matmul(tile, ones, out=total[:, start:stop])  # row sums as one BLAS gemv
         if mix:
             np.matmul(tile, mix_blocks, out=mixture[:, start:stop])
     if include_positive:

@@ -54,11 +54,15 @@ from .prototypes import PrototypeAccumulator, analytic_prototype_update, max_mah
 
 # evaluate() splits work into fixed-size chunks so results do not depend on the
 # worker count configured through MICE_THREADS.
-_EVAL_CHUNK = 256
+_EVAL_CHUNK = 512
 
 
 def worker_count() -> int:
-    """Worker pool cap: MICE_THREADS when set, else machine parallelism."""
+    """Worker pool cap: MICE_THREADS when set, else the CPUs this process may run on.
+
+    The CPU affinity set counts a restricted cpuset's CPUs, where the platform
+    has it; os.cpu_count() counts every CPU of the host and is the fallback.
+    """
     env = os.environ.get("MICE_THREADS")
     if env is not None:
         try:
@@ -68,6 +72,8 @@ def worker_count() -> int:
         if n < 1:
             raise InvalidInputError(f"MICE_THREADS={env!r} must be >= 1")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -212,12 +218,12 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     """Seeded state: student init, teacher copy, dispersed omega, random unit mu,
     queue pre-filled by one teacher pass over min(queue_size, N) augmented points."""
     d_in, k, d = dataset.points.shape[1], config.num_clusters, config.embed_dim
-    try:  # the config sizes these; one too large for memory is a config error
+    try:  # the config sizes these; too large for memory or for numpy is a config error
         state = TrainState.zeros(config, enc.Layout(d_in, config.hidden_widths, d, k))
         state.student.vec[...] = enc.init_params(
             d_in, list(config.hidden_widths), d, k, state.rng
         ).vec
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ConfigError(f"the config needs more memory than is available: {exc}") from exc
     state.teacher.vec[...] = state.student.vec[: state.teacher.vec.size]
     state.omega[...] = max_mahalanobis_centers(k, d)
@@ -357,9 +363,9 @@ def _posterior_chunk(state: TrainState, points: np.ndarray, snapshot: np.ndarray
 def evaluate(state: TrainState, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (augmentation-free) labels and posterior for every point.
 
-    Work is split into fixed 256-row chunks and fanned out over a thread pool
-    capped by MICE_THREADS; chunking is independent of the worker count, so the
-    result is identical for any setting.
+    Work is split into fixed _EVAL_CHUNK-row chunks and fanned out over a
+    thread pool capped by MICE_THREADS; chunking is independent of the worker
+    count, so the result is identical for any setting.
     """
     points = dataset.points
     n = points.shape[0]

@@ -93,8 +93,13 @@ class TestV1Fixture:
         clone = copy.deepcopy(state)
         assert np.shares_memory(clone.student["heads.weight"], clone.student.vec)
         assert not np.shares_memory(clone.student.vec, state.student.vec)
+        assert not np.shares_memory(clone.queue.buffer, state.queue.buffer)
         fit(clone.config, generate(FIXTURE_DATA), clone)
         assert clone.epoch == 4
+        # The clone's pushes land in its own ring, seen through its buffer and snapshot.
+        assert np.shares_memory(clone.queue.snapshot(), clone.queue.buffer)
+        np.testing.assert_array_equal(clone.queue.snapshot(), clone.queue.buffer[: clone.queue.fill])
+        assert not np.array_equal(clone.queue.buffer, state.queue.buffer)
         out = tmp_path / "original.ckpt"
         save_checkpoint(state, out)
         assert out.read_bytes() == FIXTURE.read_bytes()

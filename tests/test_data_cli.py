@@ -571,3 +571,16 @@ class TestHostileInputCli:
         ])
         assert code == 1
         assert "needs more memory than is available" in self.one_error_line(capsys)
+
+    def test_train_with_widths_beyond_numpy_shapes(self, workdir, capsys):
+        """Two widths of 1e11 make a weight shape numpy refuses with ValueError."""
+        text = "\n".join(
+            line for line in CONFIG_TEXT.splitlines() if not line.startswith("hidden_widths")
+        ) + "\nhidden_widths = 100000000000, 100000000000\n"
+        (workdir / "huge.txt").write_text(text)
+        capsys.readouterr()
+        code = cli_main([
+            "train", "--config", str(workdir / "huge.txt"), "--data", str(workdir / "data.csv"),
+        ])
+        assert code == 1
+        assert "Maximum allowed dimension exceeded" in self.one_error_line(capsys)

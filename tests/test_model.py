@@ -6,6 +6,7 @@ checked against central finite differences directly on its own inputs, which
 isolates the score/partition/posterior algebra from the encoder backward.
 """
 
+import copy
 import math
 import threading
 import tracemalloc
@@ -93,13 +94,27 @@ def brute_full_elbo(f, v, g, mu, omega, tau, kappa):
 
 class TestQueue:
     def test_fifo_eviction(self):
+        """Pushing when full overwrites the oldest slot and advances head."""
         q = EmbeddingQueue(2, 1, 2)
         a, b, c = (np.full((1, 1, 2), x) for x in (1.0, 2.0, 3.0))
         q.push(a)
         q.push(b)
+        assert (q.head, q.fill) == (0, 2)
         q.push(c)
-        assert q.fill == 2
-        np.testing.assert_array_equal(q.snapshot(), np.concatenate([b, c]))
+        assert (q.head, q.fill) == (1, 2)
+        np.testing.assert_array_equal(q.buffer, np.concatenate([c, b]))
+
+    def test_snapshot_in_slot_order(self):
+        """The snapshot lists the filled slots in slot order, not oldest first."""
+        q = EmbeddingQueue(4, 2, 3)
+        blocks = np.arange(6 * 2 * 3, dtype=float).reshape(6, 2, 3)
+        q.push(blocks[:3])
+        np.testing.assert_array_equal(q.snapshot(), blocks[:3])
+        q.push(blocks[3:])
+        assert (q.head, q.fill) == (2, 4)
+        want = blocks[[4, 5, 2, 3]]
+        np.testing.assert_array_equal(q.buffer, want)
+        np.testing.assert_array_equal(q.snapshot(), want)
 
     def test_partial_fill_snapshot(self):
         q = EmbeddingQueue(4, 2, 3)
@@ -109,12 +124,37 @@ class TestQueue:
         assert snap.shape == (1, 2, 3)
         np.testing.assert_array_equal(snap[0], block[0])
 
-    def test_snapshot_is_a_copy(self):
-        q = EmbeddingQueue(2, 1, 2)
+    def test_snapshot_is_a_read_only_view(self):
+        """The snapshot copies nothing: a read-only view of the ring that sees later pushes."""
+        q = EmbeddingQueue(1024, 4, 8)
+        q.push(make_rng(1).standard_normal((1100, 4, 8)))
+        q.snapshot()  # warm
+        tracemalloc.start()
+        try:
+            snap = q.snapshot()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # a copy would be 256 KiB
+        assert np.shares_memory(snap, q.buffer)
+        assert not snap.flags.writeable and q.buffer.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            snap[:] = 99.0
+        q.push(np.full((1, 4, 8), 5.0))
+        np.testing.assert_array_equal(snap[q.head - 1], 5.0)
+
+    def test_deep_copy_has_its_own_ring(self):
+        """A deep copy's buffer and snapshot see its own pushes, and only its own."""
+        q = EmbeddingQueue(3, 1, 2)
         q.push(np.ones((1, 1, 2)))
-        snap = q.snapshot()
-        snap[:] = 99.0
-        np.testing.assert_array_equal(q.snapshot(), np.ones((1, 1, 2)))
+        clone = copy.deepcopy(q)
+        assert not np.shares_memory(clone.buffer, q.buffer)
+        clone.push(np.full((1, 1, 2), 7.0))
+        assert (clone.head, clone.fill, q.head, q.fill) == (2, 2, 1, 1)
+        assert np.shares_memory(clone.snapshot(), clone.buffer)
+        np.testing.assert_array_equal(clone.snapshot(), [[[1.0, 1.0]], [[7.0, 7.0]]])
+        np.testing.assert_array_equal(clone.buffer[1], [[7.0, 7.0]])
+        np.testing.assert_array_equal(q.buffer[1], [[0.0, 0.0]])
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -348,6 +388,29 @@ class TestScoreCore:
         assert not thread.is_alive() and len(results) == 1
         assert warm < 2 * 2**20
         assert first < 2 * 2**20
+
+    def test_queue_snapshot_is_scored_in_place(self):
+        """A wrapped ring's snapshot, also under a4, is read in place: a thread scoring
+        it copies no blocks, while a contiguous (F, K, d) array is copied into the
+        thread's (K, d, F) buffer. Both give the same estimates up to rounding."""
+        f, v, _, blocks, mu, _ = random_instance(seed=42, n=8, k=3, d=4, fill=40)
+        q = EmbeddingQueue(32, 3, 4)
+        q.push(blocks)
+        snap = q.snapshot()
+        for flags in (PLAIN, ModelFlags(a4_single_head=True)):
+            results = {}
+
+            def score(name, queue_blocks):
+                est = log_partition_estimates(f, v, queue_blocks, mu, 1.0, flags)
+                results[name] = est, hasattr(model._scratch, "blocks")
+
+            for name, queue_blocks in (("view", snap), ("array", np.ascontiguousarray(snap))):
+                thread = threading.Thread(target=score, args=(name, queue_blocks))
+                thread.start()
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert not results["view"][1] and results["array"][1]
+            np.testing.assert_allclose(results["view"][0], results["array"][0], rtol=1e-14)
 
 
 class TestGating:

@@ -7,6 +7,7 @@ concrete seeded instances rather than asserting vague tendencies.
 
 import json
 import math
+import os
 import struct
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from mice.model import (
 from mice.numcore import make_rng, normalize_rows, row_norms
 from mice.prototypes import max_mahalanobis_centers
 from mice.trainer import (
+    _EVAL_CHUNK,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     TrainConfig,
@@ -97,6 +99,19 @@ class TestWorkerCount:
     def test_unset_uses_machine(self, monkeypatch):
         monkeypatch.delenv("MICE_THREADS", raising=False)
         assert worker_count() >= 1
+
+    def test_unset_counts_the_affinity_set(self, monkeypatch):
+        """A restricted cpuset caps the pool at its own CPUs, not the host's."""
+        monkeypatch.delenv("MICE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert worker_count() == 2
+
+    def test_unset_without_affinity_counts_the_host(self, monkeypatch):
+        monkeypatch.delenv("MICE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert worker_count() == 5
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MICE_THREADS", "3")
@@ -243,6 +258,16 @@ class TestInitState:
         with pytest.raises(TooManyClustersError):
             init_state(tiny_config(num_clusters=4, embed_dim=2), tiny_dataset())
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"hidden_widths": (10**11, 10**11)}, {"queue_size": 10**17}],
+        ids=["weights", "queue"],
+    )
+    def test_sizes_beyond_numpy_shapes(self, sizes):
+        """Sizes numpy refuses with ValueError, not MemoryError, are a config error too."""
+        with pytest.raises(ConfigError, match="needs more memory than is available"):
+            init_state(tiny_config(**sizes), tiny_dataset())
+
 
 class TestFit:
     def test_zero_epochs_is_init(self):
@@ -361,7 +386,9 @@ class TestEvaluate:
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
     def test_worker_count_never_changes_the_answer(self, monkeypatch):
-        ds = generate(SyntheticSpec(3, 6, 200, 15.0, seed=9))  # 600 rows: 3 chunks
+        n_per = 2 * _EVAL_CHUNK // 3 + 10  # three chunks, the last one partial
+        ds = generate(SyntheticSpec(3, 6, n_per, 15.0, seed=9))
+        assert 2 * _EVAL_CHUNK < ds.points.shape[0] < 3 * _EVAL_CHUNK
         state = init_state(tiny_config(), ds)
         monkeypatch.setenv("MICE_THREADS", "1")
         labels_1, post_1 = evaluate(state, ds)
@@ -373,12 +400,15 @@ class TestEvaluate:
     def test_one_trunk_pass_matches_two_forward_passes(self):
         """evaluate takes the gating embedding from the student's trunk output; labels and
         posterior equal those built from a separate forward_gating pass, bit for bit."""
-        ds = tiny_dataset(n_per=100)  # 300 rows: two chunks
+        ds = tiny_dataset(n_per=_EVAL_CHUNK // 3 + 20)  # two chunks, the second partial
+        n = ds.points.shape[0]
+        assert _EVAL_CHUNK < n < 2 * _EVAL_CHUNK
         state, _ = fit(tiny_config(epochs=1), ds)
         cfg = state.config
         snapshot = state.queue.snapshot()
         chunks = []
-        for x in (ds.points[:256], ds.points[256:]):  # evaluate's fixed chunks
+        for start in range(0, n, _EVAL_CHUNK):  # evaluate's fixed chunks
+            x = ds.points[start : start + _EVAL_CHUNK]
             f, _ = enc.forward_student(x, state.student)
             v = enc.forward_teacher(x, state.teacher)
             g, _ = enc.forward_gating(x, state.student)
