@@ -4,7 +4,7 @@ queue-approximated EM, plus baselines, clustering metrics and a synthetic-data C
 __version__ = "0.1.0"
 
 from .data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset
-from .model import ElboResult, EmbeddingQueue, ModelFlags, Temperatures
+from .model import ElboResult, EmbeddingQueue, ModelFlags
 from .trainer import TrainConfig, TrainState, evaluate, fit, init_state
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "ElboResult",
     "EmbeddingQueue",
     "ModelFlags",
-    "Temperatures",
     "TrainConfig",
     "TrainState",
     "evaluate",

@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, train, eval, baseline, verify. Exit codes: 0 success,
 1 runtime failure (bad files, training divergence, failed verification),
-2 usage errors.
+2 usage errors. Commands run with numpy's floating-point overflow and invalid
+operations raised, so a numeric blowup ends as one `error:` line too. Run it as
+`mice`, `python -m mice` or `python -m mice.cli`.
 """
 
 from __future__ import annotations
@@ -166,11 +168,19 @@ def cli_main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):
+            return handlers[args.command](args)
     except (MiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -133,20 +133,6 @@ class Tape:
     normalized: np.ndarray  # the embeddings: (B, K, d) for 'heads', (B, d) for 'gating'
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Additive Gaussian noise (sigma) followed by coordinate dropout (rho)."""
-
-    sigma: float = 0.1
-    rho: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise InvalidInputError(f"sigma {self.sigma!r} must be >= 0")
-        if not 0.0 <= self.rho < 1.0:
-            raise InvalidInputError(f"rho {self.rho!r} must lie in [0, 1)")
-
-
 def _init_affine(weight: np.ndarray, bias: np.ndarray, rng: np.random.Generator) -> None:
     # Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for weight and bias.
     bound = 1.0 / np.sqrt(weight.shape[1])
@@ -307,17 +293,22 @@ def ema_update(teacher: Params, student: Params, momentum: float) -> Params:
     return teacher
 
 
-def augment(x, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
-    """Additive Gaussian noise then coordinate dropout. sigma=0, rho=0 is the identity.
+def augment(x, rng: np.random.Generator, sigma: float, rho: float) -> np.ndarray:
+    """Additive Gaussian noise of scale sigma >= 0, then coordinate dropout with
+    probability rho in [0, 1). sigma=0, rho=0 is the identity.
 
     Both random draws happen unconditionally so the consumed stream length does
-    not depend on the config values. The result, (x + sigma * noise) * keep, is
+    not depend on sigma and rho. The result, (x + sigma * noise) * keep, is
     built in the noise buffer.
     """
+    if not sigma >= 0.0:
+        raise InvalidInputError(f"sigma {sigma!r} must be >= 0")
+    if not 0.0 <= rho < 1.0:
+        raise InvalidInputError(f"rho {rho!r} must lie in [0, 1)")
     a = np.asarray(x, dtype=np.float64)
     noise = rng.standard_normal(a.shape)
-    keep = rng.random(a.shape) >= cfg.rho
-    noise *= cfg.sigma
+    keep = rng.random(a.shape) >= rho
+    noise *= sigma
     noise += a
     noise *= keep
     return noise

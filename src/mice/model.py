@@ -10,8 +10,9 @@ place, `_checked`, against the student blocks f, (B, K, d): v has f's shape,
 the scored blocks are (F >= 1, K, d), mu is exactly (K, d) unless a5 drops it,
 and where gating is scored g is (B, d') and omega (K, d'). A wrong shape
 raises DimensionMismatchError, an empty queue EmptyQueueError, a missing mu
-InvalidInputError, a zero-norm mu row ZeroNormError, and tau or kappa <= 0
-NonPositiveTemperatureError.
+InvalidInputError and a zero-norm mu row ZeroNormError. The temperatures are
+plain floats: tau <= 0, then kappa <= 0 where gating is scored, is a
+NonPositiveTemperatureError, raised before any shape is checked.
 
 One scoring core, `_score_core`, scores the combined embeddings w = f + mu_hat
 against a positive and F teacher blocks, with 1/tau folded into w. It walks
@@ -79,18 +80,6 @@ class ModelFlags:
     a3_uniform_gating: bool = False
     a4_single_head: bool = False
     a5_no_class_term: bool = False
-
-
-@dataclass(frozen=True)
-class Temperatures:
-    tau: float = 1.0
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise NonPositiveTemperatureError(f"tau {self.tau!r} must be > 0")
-        if not self.kappa > 0.0:
-            raise NonPositiveTemperatureError(f"kappa {self.kappa!r} must be > 0")
 
 
 class EmbeddingQueue:
@@ -276,10 +265,15 @@ def _score_core(
     return _Scores(l_pos, log_z.T.copy(), sig0.T.copy(), mixture)
 
 
-def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
-    """A scoring entry point's inputs, checked by the shape contract above and routed:
-    (w = f + mu_hat, v, blocks, (mu_hat, row norms of mu), g as (B, d')), with
-    None for mu's pair under a5 and for blocks and g when not given."""
+def _checked(f, v, mu, tau: float, flags: ModelFlags, blocks=None, g=None, omega=None, kappa=None):
+    """A scoring entry point's inputs, checked by the contract above and routed:
+    (w = f + mu_hat, v, blocks, (mu_hat, row norms of mu), gating distribution
+    (B, K)), with None for mu's pair under a5 and for blocks and the gating
+    distribution when blocks or g are not given. tau is checked first, then
+    kappa by `gating_distribution`, then the shapes."""
+    if not tau > 0.0:
+        raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
+    gate = None if g is None else gating_distribution(g, omega, kappa, flags)
     fb = np.asarray(f, dtype=np.float64)
     vb = np.asarray(v, dtype=np.float64)
     if vb.shape != fb.shape or fb.ndim != 3:
@@ -300,14 +294,12 @@ def _checked(f, v, mu, flags: ModelFlags, blocks=None, g=None, omega=None):
         if blocks.shape[0] == 0:
             raise EmptyQueueError("the partition needs at least one queued block")
         blocks = _route_heads(blocks, flags)
-    if g is not None:
-        g = np.asarray(g, dtype=np.float64)
-        if g.ndim != 2 or g.shape[0] != batch or np.shape(omega) != (num_k, g.shape[1]):
-            raise DimensionMismatchError(
-                f"g {g.shape} and omega {np.shape(omega)} do not fit B = {batch}, K = {num_k}"
-            )
+    if gate is not None and gate.shape != (batch, num_k):
+        raise DimensionMismatchError(
+            f"g {np.shape(g)} and omega {np.shape(omega)} do not fit B = {batch}, K = {num_k}"
+        )
     w = _route_heads(fb, flags)
-    return (w if protos is None else w + protos[0]), _route_heads(vb, flags), blocks, protos, g
+    return (w if protos is None else w + protos[0]), _route_heads(vb, flags), blocks, protos, gate
 
 
 def gating_distribution(g, omega, kappa: float, flags: ModelFlags) -> np.ndarray:
@@ -327,9 +319,7 @@ def gating_distribution(g, omega, kappa: float, flags: ModelFlags) -> np.ndarray
 
 def expert_log_scores(v, f, mu: np.ndarray | None, tau: float, flags: ModelFlags) -> np.ndarray:
     """Unnormalized per-expert log score v_k . (f_k + mu_k) / tau, (B, K)."""
-    if not tau > 0.0:
-        raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
-    w, v_eff, *_ = _checked(f, v, mu, flags)
+    w, v_eff, *_ = _checked(f, v, mu, tau, flags)
     return np.sum(v_eff * (w / tau), axis=-1)
 
 
@@ -347,9 +337,7 @@ def log_partition_estimates(
     The estimator sums the positive score plus one score per queued block; the
     queue-only variant (include_positive=False) exists for bound experiments.
     """
-    if not tau > 0.0:
-        raise NonPositiveTemperatureError(f"tau {tau!r} must be > 0")
-    w, v_eff, blocks, _, _ = _checked(f, v, mu, flags, blocks=queue_blocks)
+    w, v_eff, blocks, _, _ = _checked(f, v, mu, tau, flags, blocks=queue_blocks)
     return _score_core(w, v_eff, blocks, tau, include_positive, mix=False).log_z
 
 
@@ -423,21 +411,21 @@ def entropy_mean(q: np.ndarray) -> float:
 def _elbo_result(
     checked: tuple,
     omega: np.ndarray,
-    temps: Temperatures,
+    tau: float,
+    kappa: float,
     flags: ModelFlags,
     include_positive: bool = True,
     q_override: np.ndarray | None = None,
 ) -> ElboResult:
-    """Scores of `_checked`'s (w, v, blocks, protos, g), then the one-pass tail:
+    """Scores of `_checked`'s (w, v, blocks, protos, gate), then the one-pass tail:
     posterior, batch-mean ELBO, gradients and diagnostics.
 
     Gradient weights are q_override when given (responsibilities held fixed),
     else the fresh posterior, whose ELBO is logsumexp(s) by the evidence identity.
     """
-    w, v_eff, blocks, protos, g = checked
+    w, v_eff, blocks, protos, gate = checked
     batch, num_k, dim = w.shape
-    gate = gating_distribution(g, omega, temps.kappa, flags)
-    scores = _score_core(w, v_eff, blocks, temps.tau, include_positive)
+    scores = _score_core(w, v_eff, blocks, tau, include_positive)
 
     with np.errstate(divide="ignore"):
         log_gate = np.log(gate)
@@ -466,7 +454,7 @@ def _elbo_result(
     grad_w = (1.0 - scores.sig0)[..., np.newaxis] * v_eff
     grad_w -= scores.mixture
     grad_w *= post[..., np.newaxis]
-    grad_w /= temps.tau
+    grad_w /= tau
     scale = -1.0 / batch  # dLoss = -(1/B) dSumELBO
     if protos is None:
         grad_mu = np.zeros((num_k, dim))
@@ -487,7 +475,7 @@ def _elbo_result(
     else:
         grad_g = (post - gate) @ omega
         grad_g *= scale
-        grad_g /= temps.kappa
+        grad_g /= kappa
     return ElboResult(
         loss=-elbo,
         elbo=elbo,
@@ -507,7 +495,8 @@ def elbo_batch(
     queue_blocks: np.ndarray,
     mu: np.ndarray | None,
     omega: np.ndarray,
-    temps: Temperatures,
+    tau: float,
+    kappa: float,
     flags: ModelFlags,
 ) -> ElboResult:
     """Batch-mean evidence lower bound with queue-estimated partitions, plus gradients.
@@ -523,8 +512,8 @@ def elbo_batch(
     Returns:
         ElboResult; loss = -mean ELBO, gradients already carry the -1/B scaling.
     """
-    checked = _checked(f, v, mu, flags, blocks=queue_blocks, g=g, omega=omega)
-    return _elbo_result(checked, omega, temps, flags)
+    checked = _checked(f, v, mu, tau, flags, blocks=queue_blocks, g=g, omega=omega, kappa=kappa)
+    return _elbo_result(checked, omega, tau, kappa, flags)
 
 
 def exact_elbo(
@@ -534,14 +523,17 @@ def exact_elbo(
     q: np.ndarray,
     mu: np.ndarray | None,
     omega: np.ndarray,
-    temps: Temperatures,
+    tau: float,
+    kappa: float,
     flags: ModelFlags,
 ) -> float:
     """Dataset-mean ELBO with the exact partition (sum over all N teacher blocks).
 
     `q` is an explicit (N, K) responsibility matrix; terms with q = 0 contribute 0.
     """
-    return full_batch_elbo_grads(f_all, v_all, g_all, mu, omega, temps, flags, q_override=q).elbo
+    return full_batch_elbo_grads(
+        f_all, v_all, g_all, mu, omega, tau, kappa, flags, q_override=q
+    ).elbo
 
 
 def full_batch_elbo_grads(
@@ -550,7 +542,8 @@ def full_batch_elbo_grads(
     g_all,
     mu: np.ndarray | None,
     omega: np.ndarray,
-    temps: Temperatures,
+    tau: float,
+    kappa: float,
     flags: ModelFlags,
     q_override: np.ndarray | None = None,
 ) -> ElboResult:
@@ -561,7 +554,9 @@ def full_batch_elbo_grads(
     EM); otherwise q is the fresh posterior and the evidence identity applies.
     Gradient weights equal the supplied or fresh q either way.
     """
-    w, v_eff, _, protos, g = _checked(f_all, v_all, mu, flags, g=g_all, omega=omega)
+    w, v_eff, _, protos, gate = _checked(
+        f_all, v_all, mu, tau, flags, g=g_all, omega=omega, kappa=kappa
+    )
     if q_override is not None:
         q_override = np.asarray(q_override, dtype=np.float64)
         if q_override.shape != w.shape[:2]:
@@ -569,6 +564,6 @@ def full_batch_elbo_grads(
                 f"q shape {q_override.shape} does not match {w.shape[:2]}"
             )
     return _elbo_result(
-        (w, v_eff, v_eff, protos, g), omega, temps, flags, include_positive=False,
+        (w, v_eff, v_eff, protos, gate), omega, tau, kappa, flags, include_positive=False,
         q_override=q_override,
     )

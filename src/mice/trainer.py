@@ -39,7 +39,6 @@ from .metrics import acc, ari, nmi
 from .model import (
     EmbeddingQueue,
     ModelFlags,
-    Temperatures,
     elbo_batch,
     exact_elbo,
     full_batch_elbo_grads,
@@ -145,14 +144,6 @@ class TrainConfig:
     def flags(self) -> ModelFlags:
         return ModelFlags(self.a3_uniform_gating, self.a4_single_head, self.a5_no_class_term)
 
-    @cached_property
-    def temps(self) -> Temperatures:
-        return Temperatures(self.tau, self.kappa)
-
-    @cached_property
-    def augmentation(self) -> enc.AugmentConfig:
-        return enc.AugmentConfig(self.aug_sigma, self.aug_rho)
-
     def to_dict(self) -> dict:
         d = {}
         for name in self.__dataclass_fields__:
@@ -229,7 +220,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     state.omega[...] = max_mahalanobis_centers(k, d)
     state.mu[...] = normalize_rows(state.rng.uniform(-1.0, 1.0, size=(k, d)))
     n_prefill = min(config.queue_size, dataset.points.shape[0])
-    warmup = enc.augment(dataset.points[:n_prefill], state.rng, config.augmentation)
+    warmup = enc.augment(dataset.points[:n_prefill], state.rng, config.aug_sigma, config.aug_rho)
     state.queue.push(enc.forward_teacher(warmup, state.teacher))
     return state
 
@@ -247,17 +238,16 @@ def _sgd_step(param: np.ndarray, grad: np.ndarray, buf: np.ndarray, lr: float, c
 def train_step(state: TrainState, batch: np.ndarray) -> dict:
     """One optimization step on one batch of raw points; returns step metrics."""
     cfg = state.config
-    aug = cfg.augmentation
-    x_f = enc.augment(batch, state.rng, aug)
-    x_v = enc.augment(batch, state.rng, aug)
-    x_g = enc.augment(batch, state.rng, aug)
+    x_f = enc.augment(batch, state.rng, cfg.aug_sigma, cfg.aug_rho)
+    x_v = enc.augment(batch, state.rng, cfg.aug_sigma, cfg.aug_rho)
+    x_g = enc.augment(batch, state.rng, cfg.aug_sigma, cfg.aug_rho)
 
     f, tape_f = enc.forward_student(x_f, state.student)
     v = enc.forward_teacher(x_v, state.teacher)  # constant target embeddings
     g, tape_g = enc.forward_gating(x_g, state.student)
 
     snapshot = state.queue.snapshot()  # taken before enqueue: negatives exclude this batch
-    result = elbo_batch(f, v, g, snapshot, state.mu, state.omega, cfg.temps, cfg.flags)
+    result = elbo_batch(f, v, g, snapshot, state.mu, state.omega, cfg.tau, cfg.kappa, cfg.flags)
     if not np.isfinite(result.loss):
         raise NonFiniteLossError(
             f"loss {result.loss!r} at epoch {state.epoch} (batch of {batch.shape[0]})"
@@ -365,7 +355,8 @@ def evaluate(state: TrainState, dataset: Dataset) -> tuple[np.ndarray, np.ndarra
 
     Work is split into fixed _EVAL_CHUNK-row chunks and fanned out over a
     thread pool capped by MICE_THREADS; chunking is independent of the worker
-    count, so the result is identical for any setting.
+    count, so the result is identical for any setting. Each chunk runs under
+    the caller's numpy floating-point error handling, in a pool thread too.
     """
     points = dataset.points
     n = points.shape[0]
@@ -373,10 +364,12 @@ def evaluate(state: TrainState, dataset: Dataset) -> tuple[np.ndarray, np.ndarra
     post = np.zeros((n, state.config.num_clusters))
     starts = list(range(0, n, _EVAL_CHUNK))
     workers = min(worker_count(), len(starts)) or 1
+    errors = np.geterr()  # a new thread starts with numpy's defaults
 
     def run(start: int) -> None:
         stop = min(start + _EVAL_CHUNK, n)
-        post[start:stop] = _posterior_chunk(state, points[start:stop], snapshot)
+        with np.errstate(**errors):
+            post[start:stop] = _posterior_chunk(state, points[start:stop], snapshot)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -407,7 +400,7 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
         f_all, tape_f = enc.forward_student(points, state.student)
         g_all, tape_g = enc.forward_gating(points, state.student)
         result = full_batch_elbo_grads(
-            f_all, v_all, g_all, state.mu, state.omega, config.temps, config.flags
+            f_all, v_all, g_all, state.mu, state.omega, config.tau, config.kappa, config.flags
         )
         q_fixed = result.posterior  # E-step: responsibilities from current params
         after_e.append(result.elbo)
@@ -422,7 +415,8 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
         g_new, _ = enc.forward_gating(points, state.student)
         after_m.append(
             exact_elbo(
-                f_new, v_all, g_new, q_fixed, state.mu, state.omega, config.temps, config.flags
+                f_new, v_all, g_new, q_fixed, state.mu, state.omega,
+                config.tau, config.kappa, config.flags,
             )
         )
     return {"after_e": after_e, "after_m": after_m}

@@ -16,7 +16,7 @@ from . import encoder as enc
 from .baselines import infonce_loss, kmeans_equivalence_check
 from .data import Dataset
 from .errors import InvalidInputError
-from .model import ModelFlags, Temperatures, elbo_batch, log_partition_estimates
+from .model import ModelFlags, elbo_batch, log_partition_estimates
 from .numcore import make_rng, normalize_rows
 from .prototypes import max_mahalanobis_centers
 from .trainer import TrainConfig, init_state
@@ -94,16 +94,16 @@ def check_gradients() -> CheckResult:
     """Analytic gradients of the batch loss (unit temperatures, no ablation) versus
     central differences over every parameter (trunk, expert heads, gating head, raw mu)."""
     params, mu, omega, batch, v, queue = gradient_instance()
-    temps, flags = Temperatures(), ModelFlags()
+    flags = ModelFlags()
 
     def loss_fn() -> float:
         f, _ = enc.forward_student(batch, params)
         g, _ = enc.forward_gating(batch, params)
-        return elbo_batch(f, v, g, queue, mu, omega, temps, flags).loss
+        return elbo_batch(f, v, g, queue, mu, omega, 1.0, 1.0, flags).loss
 
     f, tape_f = enc.forward_student(batch, params)
     g, tape_g = enc.forward_gating(batch, params)
-    result = elbo_batch(f, v, g, queue, mu, omega, temps, flags)
+    result = elbo_batch(f, v, g, queue, mu, omega, 1.0, 1.0, flags)
     grads = enc.add_bundles(
         enc.backward(tape_f, result.grad_f, params),
         enc.backward(tape_g, result.grad_g, params),
@@ -136,8 +136,7 @@ def check_infonce_reduction(instances: int = 100, seed: int = 11) -> CheckResult
         g = normalize_rows(rng.standard_normal((b, d)))
         queue = normalize_rows(rng.standard_normal((fill, k, d)))
         omega = max_mahalanobis_centers(k, d)
-        temps = Temperatures(tau, 1.0)
-        res = elbo_batch(f, v, g, queue, None, omega, temps, flags)
+        res = elbo_batch(f, v, g, queue, None, omega, tau, 1.0, flags)
         reference = float(
             np.mean(
                 [infonce_loss(f[i, 0], v[i, 0], queue[:, 0, :], tau) for i in range(b)]
@@ -164,7 +163,7 @@ def check_uniform_posterior(instances: int = 100, seed: int = 13) -> CheckResult
         g = normalize_rows(rng.standard_normal((b, d)))
         queue = normalize_rows(rng.standard_normal((fill, k, d)))
         omega = max_mahalanobis_centers(k, d)
-        res = elbo_batch(f, v, g, queue, None, omega, Temperatures(), flags)
+        res = elbo_batch(f, v, g, queue, None, omega, 1.0, 1.0, flags)
         worst = max(worst, float(np.max(np.abs(res.posterior - 1.0 / k))))
     return CheckResult(
         "uniform posterior", worst < 1e-12, f"max |q - 1/K| {worst:.3e} over {instances}"

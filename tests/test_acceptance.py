@@ -22,7 +22,6 @@ from mice.data import Dataset, SyntheticSpec, generate
 from mice.metrics import acc, ari, nmi
 from mice.model import (
     ModelFlags,
-    Temperatures,
     expert_log_scores,
     gating_distribution,
     log_partition_estimates,

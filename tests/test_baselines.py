@@ -24,7 +24,7 @@ from mice.baselines import (
 from mice.data import SyntheticSpec, generate
 from mice.errors import EmptyQueueError, FlagMismatchError, InvalidInputError
 from mice.metrics import acc
-from mice.model import ModelFlags, Temperatures, elbo_batch
+from mice.model import ModelFlags, elbo_batch
 from mice.numcore import make_rng, normalize_rows
 from mice.prototypes import (
     PrototypeAccumulator,
@@ -182,7 +182,7 @@ class TestInfoNce:
         omega = max_mahalanobis_centers(k, d)
         g = normalize_rows(rng.standard_normal((1, d)))
         res = elbo_batch(
-            f, v, g, queue, None, omega, Temperatures(0.8, 1.0), ModelFlags(True, True, True)
+            f, v, g, queue, None, omega, 0.8, 1.0, ModelFlags(True, True, True)
         )
         reference = infonce_loss(f[0, 0], v[0, 0], queue[:, 0, :], 0.8)
         np.testing.assert_allclose(-res.elbo, reference, rtol=1e-12)

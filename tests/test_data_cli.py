@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -10,6 +13,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+import mice
 from mice.cli import cli_main
 from mice.config import _parse, load_config, load_synthetic_spec, parse_keyvalue
 from mice.data import (
@@ -455,6 +459,23 @@ class TestCli:
         passed, total = checks.split("/")
         assert passed == total and int(total) >= 1
 
+    @pytest.mark.parametrize("module", ["mice", "mice.cli"])
+    def test_python_m_runs_the_cli(self, tmp_path, module):
+        """`python -m mice` and `python -m mice.cli` run the command and exit 0."""
+        (tmp_path / "spec.txt").write_text(SPEC_TEXT)
+        env = dict(os.environ)
+        src = str(Path(mice.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "data.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", module, "gen-data", "--spec", str(tmp_path / "spec.txt"),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        expected = generate(SyntheticSpec(3, 6, 15, 20.0, seed=3))
+        np.testing.assert_array_equal(load_dataset(out).points, expected.points)
+
     def test_usage_errors_exit_2(self, capsys):
         assert cli_main(["no-such-command"]) == 2
         assert cli_main(["train", "--config", "x"]) == 2  # missing --data
@@ -571,6 +592,20 @@ class TestHostileInputCli:
         ])
         assert code == 1
         assert "needs more memory than is available" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize("line", ["tau = 1e-300", "lr_initial = 1e300"])
+    def test_train_with_a_numeric_blowup(self, tmp_path, capsys, line):
+        """Valid but extreme floats overflow during training: one error line, not
+        numpy's RuntimeWarnings first."""
+        spec = "num_clusters = 4\ninput_dim = 16\npoints_per_cluster = 50\nconcentration = 50\n"
+        (tmp_path / "spec.txt").write_text(spec)
+        (tmp_path / "config.txt").write_text(f"epochs = 2\n{line}\n")
+        data = str(tmp_path / "data.csv")
+        assert cli_main(["gen-data", "--spec", str(tmp_path / "spec.txt"), "--out", data]) == 0
+        capsys.readouterr()
+        code = cli_main(["train", "--config", str(tmp_path / "config.txt"), "--data", data])
+        assert code == 1
+        assert "error: numeric failure: overflow encountered" in self.one_error_line(capsys)
 
     def test_train_with_widths_beyond_numpy_shapes(self, workdir, capsys):
         """Two widths of 1e11 make a weight shape numpy refuses with ValueError."""

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from mice.encoder import (
-    AugmentConfig,
     Layout,
     Params,
     add_bundles,
@@ -365,14 +364,13 @@ class TestEma:
 class TestAugment:
     def test_identity_when_disabled(self):
         x = make_rng(4).standard_normal((5, 3))
-        out = augment(x, make_rng(0), AugmentConfig(0.0, 0.0))
+        out = augment(x, make_rng(0), 0.0, 0.0)
         assert np.array_equal(out, x)
 
     def test_reproducible(self):
         x = make_rng(4).standard_normal((5, 3))
-        cfg = AugmentConfig(0.3, 0.25)
-        a = augment(x, make_rng(77), cfg)
-        b = augment(x, make_rng(77), cfg)
+        a = augment(x, make_rng(77), 0.3, 0.25)
+        b = augment(x, make_rng(77), 0.3, 0.25)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, x)
 
@@ -380,10 +378,10 @@ class TestAugment:
         """Downstream draws agree whether or not the augmentation was active."""
         x = np.ones((4, 3))
         rng_a = make_rng(15)
-        augment(x, rng_a, AugmentConfig(0.5, 0.3))
+        augment(x, rng_a, 0.5, 0.3)
         after_a = rng_a.standard_normal(8)
         rng_b = make_rng(15)
-        augment(x, rng_b, AugmentConfig(0.0, 0.0))
+        augment(x, rng_b, 0.0, 0.0)
         after_b = rng_b.standard_normal(8)
         assert np.array_equal(after_a, after_b)
 
@@ -395,8 +393,7 @@ class TestAugment:
         x[0, :2] = [0.0, -0.0]
         rng = make_rng(31)
         clone = copy.deepcopy(rng)
-        cfg = AugmentConfig(sigma, rho)
-        out = augment(x, rng, cfg)
+        out = augment(x, rng, sigma, rho)
         noise = clone.standard_normal(x.shape)
         keep = clone.random(x.shape) >= rho
         expected = (x + sigma * noise) * keep
@@ -406,7 +403,7 @@ class TestAugment:
     def test_moments_at_zero_input(self):
         """x = 0: output is sigma * noise * keep with mean 0, variance sigma^2 (1 - rho)."""
         sigma, rho, n = 0.4, 0.3, 40_000
-        out = augment(np.zeros((n, 2)), make_rng(100), AugmentConfig(sigma, rho))
+        out = augment(np.zeros((n, 2)), make_rng(100), sigma, rho)
         se = sigma / math.sqrt(n)
         assert abs(float(np.mean(out))) < 4 * se
         var_target = sigma * sigma * (1 - rho)
@@ -415,14 +412,18 @@ class TestAugment:
     def test_moments_at_general_input(self):
         """mean (1-rho) x; variance (1-rho)(x^2 + sigma^2) - (1-rho)^2 x^2."""
         sigma, rho, x0, n = 0.25, 0.2, 1.5, 60_000
-        out = augment(np.full((n, 1), x0), make_rng(101), AugmentConfig(sigma, rho))
+        out = augment(np.full((n, 1), x0), make_rng(101), sigma, rho)
         mean_target = (1 - rho) * x0
         var_target = (1 - rho) * (x0 * x0 + sigma * sigma) - (1 - rho) ** 2 * x0 * x0
         np.testing.assert_allclose(float(np.mean(out)), mean_target, rtol=0.01)
         np.testing.assert_allclose(float(np.var(out)), var_target, rtol=0.05)
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            AugmentConfig(sigma=-0.1)
-        with pytest.raises(InvalidInputError):
-            AugmentConfig(rho=1.0)
+        """A bad sigma or rho raises before any draw, so the stream is untouched."""
+        x = np.ones((4, 3))
+        rng = make_rng(16)
+        before = rng.bit_generator.state
+        for sigma, rho in ((-0.1, 0.1), (math.nan, 0.1), (0.1, 1.0), (0.1, -0.1), (0.1, math.nan)):
+            with pytest.raises(InvalidInputError):
+                augment(x, rng, sigma, rho)
+        assert rng.bit_generator.state == before

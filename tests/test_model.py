@@ -29,7 +29,6 @@ from mice.model import (
     ElboResult,
     EmbeddingQueue,
     ModelFlags,
-    Temperatures,
     elbo_batch,
     entropy_mean,
     exact_elbo,
@@ -337,7 +336,7 @@ class TestScoreCore:
         f, v, g, queue, mu, omega = random_instance(seed=44)
         {"f": f, "v": v, "queue": queue}[where][0, 0, 0] = np.nan
         with pytest.raises(DegenerateDistributionError):
-            elbo_batch(f, v, g, queue, mu, omega, Temperatures(), PLAIN)
+            elbo_batch(f, v, g, queue, mu, omega, 1.0, 1.0, PLAIN)
 
     def test_large_logits_at_small_tau(self):
         """tau = 0.05 with logits of magnitude ~1e3: finite, and equal to the reference."""
@@ -356,11 +355,11 @@ class TestScoreCore:
         """A default-shape call (B=256, K=4, d=8, F=1024) peaks near one (B, K, F) array."""
         batch, k, d, fill = 256, 4, 8, 1024
         f, v, g, queue, mu, omega = random_instance(seed=41, n=batch, k=k, d=d, fill=fill)
-        temps = Temperatures()
-        elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)  # warm numpy's internal caches
+        tau, kappa = 1.0, 1.0
+        elbo_batch(f, v, g, queue, mu, omega, tau, kappa, PLAIN)  # warm numpy's internal caches
         tracemalloc.start()
         try:
-            elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)
+            elbo_batch(f, v, g, queue, mu, omega, tau, kappa, PLAIN)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -371,7 +370,7 @@ class TestScoreCore:
         first call, which allocates its scratch buffers."""
         batch, k, d, fill = 256, 4, 8, 1024
         f, v, g, queue, mu, omega = random_instance(seed=41, n=batch, k=k, d=d, fill=fill)
-        args = (f, v, g, queue, mu, omega, Temperatures(), PLAIN)
+        args = (f, v, g, queue, mu, omega, 1.0, 1.0, PLAIN)
         elbo_batch(*args)  # warm numpy's internal caches and this thread's scratch
         results = []
         thread = threading.Thread(target=lambda: results.append(elbo_batch(*args)))
@@ -607,13 +606,35 @@ class TestHardAssign:
 
 
 class TestTemperatures:
+    """tau and kappa are plain floats, each checked by the function that uses it,
+    before any shape: a bad temperature is reported even when the arrays are malformed."""
+
     def test_validation(self):
+        """The ELBO entry points, with well-formed and with malformed arrays."""
+        f, v, g, queue, mu, omega = random_instance(seed=9)
+        q = np.full(f.shape[:2], 1.0 / f.shape[1])
+        bad = [(-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, -2.0), (1.0, math.nan)]
+        for tau, kappa in bad:
+            for v_, g_, omega_ in ((v, g, omega), (v[:-1], g[:-1], omega[:-1])):
+                with pytest.raises(NonPositiveTemperatureError):
+                    elbo_batch(f, v_, g_, queue, mu, omega_, tau, kappa, PLAIN)
+                with pytest.raises(NonPositiveTemperatureError):
+                    full_batch_elbo_grads(f, v_, g_, mu, omega_, tau, kappa, PLAIN)
+                with pytest.raises(NonPositiveTemperatureError):
+                    exact_elbo(f, v_, g_, q, mu, omega_, tau, kappa, PLAIN)
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan])
+    def test_tau_is_checked_before_shapes(self, tau):
+        f, v, _, queue, mu, _ = random_instance(seed=9)
         with pytest.raises(NonPositiveTemperatureError):
-            Temperatures(tau=-1.0)
+            expert_log_scores(v[:-1], f, mu[:-1], tau, PLAIN)
         with pytest.raises(NonPositiveTemperatureError):
-            Temperatures(kappa=0.0)
-        t = Temperatures()
-        assert t.tau == 1.0 and t.kappa == 1.0
+            log_partition_estimates(f, v[:-1], queue[:, :-1], mu, tau, PLAIN)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan])
+    def test_kappa_is_checked_before_shapes(self, kappa):
+        with pytest.raises(NonPositiveTemperatureError):
+            gating_distribution(np.ones((2, 3)), np.eye(2), kappa, PLAIN)
 
 
 class TestElboBatch:
@@ -624,7 +645,7 @@ class TestElboBatch:
         g = np.array([[1.0, 0.0]])
         mu = np.array([[1.0, 0.0]])
         omega = np.array([[1.0, 0.0]])
-        res = elbo_batch(f, v, g, v, mu, omega, Temperatures(), PLAIN)
+        res = elbo_batch(f, v, g, v, mu, omega, 1.0, 1.0, PLAIN)
         np.testing.assert_allclose(res.elbo, -math.log(2.0), rtol=1e-14)
         np.testing.assert_allclose(res.loss, math.log(2.0), rtol=1e-14)
         assert abs(res.kl_term) < 1e-15
@@ -633,10 +654,10 @@ class TestElboBatch:
     def test_evidence_identity(self):
         """elbo = mean_i sum_k q_ik (s_ik - log Z_ik) - kl_term, and loss = -elbo."""
         f, v, g, queue, mu, omega = random_instance(seed=11)
-        temps = Temperatures(0.8, 1.2)
-        res = elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)
-        scores = expert_log_scores(v, f, mu, temps.tau, PLAIN)
-        log_z = log_partition_estimates(f, v, queue, mu, temps.tau, PLAIN)
+        tau, kappa = 0.8, 1.2
+        res = elbo_batch(f, v, g, queue, mu, omega, tau, kappa, PLAIN)
+        scores = expert_log_scores(v, f, mu, tau, PLAIN)
+        log_z = log_partition_estimates(f, v, queue, mu, tau, PLAIN)
         expert = np.mean(np.sum(res.posterior * (scores - log_z), axis=-1))
         np.testing.assert_allclose(res.elbo, expert - res.kl_term, atol=1e-12)
         assert res.loss == -res.elbo
@@ -644,12 +665,12 @@ class TestElboBatch:
 
     def test_gradients_match_finite_differences(self):
         f, v, g, queue, mu, omega = random_instance(seed=12, n=3, k=2, d=3, fill=4)
-        temps = Temperatures(0.7, 1.3)
+        tau, kappa = 0.7, 1.3
 
         def loss(f_, g_, mu_):
-            return elbo_batch(f_, v, g_, queue, mu_, omega, temps, PLAIN).loss
+            return elbo_batch(f_, v, g_, queue, mu_, omega, tau, kappa, PLAIN).loss
 
-        res = elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)
+        res = elbo_batch(f, v, g, queue, mu, omega, tau, kappa, PLAIN)
         h = 1e-6
         for arr, grad in ((f, res.grad_f), (g, res.grad_g), (mu, res.grad_mu)):
             it = np.nditer(arr, flags=["multi_index"])
@@ -665,7 +686,7 @@ class TestElboBatch:
 
     def test_uniform_gating_flag(self):
         f, v, g, queue, mu, omega = random_instance(seed=13)
-        res = elbo_batch(f, v, g, queue, mu, omega, Temperatures(), ModelFlags(a3_uniform_gating=True))
+        res = elbo_batch(f, v, g, queue, mu, omega, 1.0, 1.0, ModelFlags(a3_uniform_gating=True))
         assert not np.any(res.grad_g)
         np.testing.assert_allclose(res.kl_term, math.log(3.0) - res.entropy, atol=1e-12)
 
@@ -673,11 +694,11 @@ class TestElboBatch:
         """a4 on arbitrary blocks == plain flags on blocks with row 0 tiled everywhere."""
         f, v, g, queue, mu, omega = random_instance(seed=14)
         a4 = ModelFlags(a4_single_head=True)
-        res_a4 = elbo_batch(f, v, g, queue, mu, omega, Temperatures(), a4)
+        res_a4 = elbo_batch(f, v, g, queue, mu, omega, 1.0, 1.0, a4)
 
         tile = lambda b: np.broadcast_to(b[..., :1, :], b.shape).copy()
         res_plain = elbo_batch(
-            tile(f), tile(v), g, tile(queue), mu, omega, Temperatures(), PLAIN
+            tile(f), tile(v), g, tile(queue), mu, omega, 1.0, 1.0, PLAIN
         )
         np.testing.assert_allclose(res_a4.elbo, res_plain.elbo, rtol=1e-12)
         np.testing.assert_allclose(res_a4.posterior, res_plain.posterior, atol=1e-12)
@@ -690,73 +711,73 @@ class TestElboBatch:
     def test_no_class_term_flag(self):
         f, v, g, queue, mu, omega = random_instance(seed=15)
         a5 = ModelFlags(a5_no_class_term=True)
-        with_mu = elbo_batch(f, v, g, queue, mu, omega, Temperatures(), a5)
-        without = elbo_batch(f, v, g, queue, None, omega, Temperatures(), a5)
+        with_mu = elbo_batch(f, v, g, queue, mu, omega, 1.0, 1.0, a5)
+        without = elbo_batch(f, v, g, queue, None, omega, 1.0, 1.0, a5)
         assert with_mu.elbo == without.elbo
         assert not np.any(with_mu.grad_mu)
 
     def test_all_ablations_give_uniform_posterior(self):
         f, v, g, queue, _, omega = random_instance(seed=16)
         flags = ModelFlags(True, True, True)
-        res = elbo_batch(f, v, g, queue, None, omega, Temperatures(), flags)
+        res = elbo_batch(f, v, g, queue, None, omega, 1.0, 1.0, flags)
         np.testing.assert_allclose(res.posterior, 1.0 / 3.0, atol=1e-12)
 
     def test_validation(self):
         f, v, g, queue, mu, omega = random_instance(seed=17)
         with pytest.raises(DimensionMismatchError):
-            elbo_batch(f, v[:-1], g, queue, mu, omega, Temperatures(), PLAIN)
+            elbo_batch(f, v[:-1], g, queue, mu, omega, 1.0, 1.0, PLAIN)
         with pytest.raises(EmptyQueueError):
-            elbo_batch(f, v, g, np.zeros((0, 3, 4)), mu, omega, Temperatures(), PLAIN)
+            elbo_batch(f, v, g, np.zeros((0, 3, 4)), mu, omega, 1.0, 1.0, PLAIN)
         with pytest.raises(DimensionMismatchError):
-            elbo_batch(f, v, g, queue, mu, omega[:2], Temperatures(), PLAIN)
+            elbo_batch(f, v, g, queue, mu, omega[:2], 1.0, 1.0, PLAIN)
 
 
 class TestFullDataset:
     def test_matches_brute_force(self):
         """N=50, K=3 against the pure-loop oracle."""
         f, v, g, _, mu, omega = random_instance(seed=18, n=50, k=3, d=4)
-        temps = Temperatures(0.9, 1.1)
-        res = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN)
-        ref_elbo, ref_post = brute_full_elbo(f, v, g, mu, omega, temps.tau, temps.kappa)
+        tau, kappa = 0.9, 1.1
+        res = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
+        ref_elbo, ref_post = brute_full_elbo(f, v, g, mu, omega, tau, kappa)
         np.testing.assert_allclose(res.elbo, ref_elbo, rtol=1e-12)
         np.testing.assert_allclose(res.posterior, ref_post, atol=1e-12)
-        value = exact_elbo(f, v, g, res.posterior, mu, omega, temps, PLAIN)
+        value = exact_elbo(f, v, g, res.posterior, mu, omega, tau, kappa, PLAIN)
         np.testing.assert_allclose(value, ref_elbo, rtol=1e-12)
 
     def test_posterior_maximizes_exact_elbo(self):
         """100 multiplicative perturbations of q never beat the fresh posterior."""
         f, v, g, _, mu, omega = random_instance(seed=19, n=15, k=3, d=4)
-        temps = Temperatures()
-        res = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN)
-        base = exact_elbo(f, v, g, res.posterior, mu, omega, temps, PLAIN)
+        tau, kappa = 1.0, 1.0
+        res = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
+        base = exact_elbo(f, v, g, res.posterior, mu, omega, tau, kappa, PLAIN)
         np.testing.assert_allclose(base, res.elbo, rtol=1e-12)
         rng = make_rng(20)
         for _ in range(100):
             noisy = res.posterior * np.exp(0.3 * rng.standard_normal(res.posterior.shape))
             noisy /= noisy.sum(axis=1, keepdims=True)
-            assert exact_elbo(f, v, g, noisy, mu, omega, temps, PLAIN) <= base + 1e-12
+            assert exact_elbo(f, v, g, noisy, mu, omega, tau, kappa, PLAIN) <= base + 1e-12
 
     def test_one_hot_q(self):
         """Hard responsibilities: ELBO reduces to the mean of the selected scores
         (q log q vanishes), computed here from the pure-loop score matrix."""
         f, v, g, _, mu, omega = random_instance(seed=21, n=8, k=3, d=4)
-        temps = Temperatures()
-        res = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN)
+        tau, kappa = 1.0, 1.0
+        res = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
         labels = np.argmax(res.posterior, axis=1)
         one_hot = np.zeros_like(res.posterior)
         one_hot[np.arange(8), labels] = 1.0
-        value = exact_elbo(f, v, g, one_hot, mu, omega, temps, PLAIN)
+        value = exact_elbo(f, v, g, one_hot, mu, omega, tau, kappa, PLAIN)
 
-        scores = brute_score_matrix(f, v, g, mu, omega, temps.tau, temps.kappa)
+        scores = brute_score_matrix(f, v, g, mu, omega, tau, kappa)
         np.testing.assert_allclose(value, float(np.mean(scores[np.arange(8), labels])), rtol=1e-12)
         assert value <= res.elbo + 1e-12
 
     def test_q_override_with_fresh_posterior_changes_nothing(self):
         f, v, g, _, mu, omega = random_instance(seed=22, n=10, k=3, d=4)
-        temps = Temperatures(0.8, 1.0)
-        free = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN)
+        tau, kappa = 0.8, 1.0
+        free = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
         pinned = full_batch_elbo_grads(
-            f, v, g, mu, omega, temps, PLAIN, q_override=free.posterior
+            f, v, g, mu, omega, tau, kappa, PLAIN, q_override=free.posterior
         )
         np.testing.assert_allclose(pinned.elbo, free.elbo, rtol=1e-12)
         np.testing.assert_allclose(pinned.grad_f, free.grad_f, atol=1e-14)
@@ -767,15 +788,15 @@ class TestFullDataset:
         """elbo_batch with an all-but-self queue per point reproduces the exact ELBO
         and its gradients (the estimator's bias vanishes by construction)."""
         f, v, g, _, mu, omega = random_instance(seed=23, n=9, k=3, d=4)
-        temps = Temperatures()
-        full = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN)
+        tau, kappa = 1.0, 1.0
+        full = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
         n = 9
         elbos = []
         grad_mu_sum = np.zeros_like(mu)
         for i in range(n):
             rest = np.delete(v, i, axis=0)
             res_i = elbo_batch(
-                f[i : i + 1], v[i : i + 1], g[i : i + 1], rest, mu, omega, temps, PLAIN
+                f[i : i + 1], v[i : i + 1], g[i : i + 1], rest, mu, omega, tau, kappa, PLAIN
             )
             elbos.append(res_i.elbo)
             np.testing.assert_allclose(res_i.grad_f[0] / n, full.grad_f[i], atol=1e-12)
@@ -788,31 +809,33 @@ class TestFullDataset:
     def test_exact_posterior_is_bayes(self):
         """All-but-self queue posterior equals a from-scratch Bayes computation."""
         f, v, g, _, mu, omega = random_instance(seed=24, n=10, k=3, d=4)
-        temps = Temperatures(1.3, 0.7)
+        tau, kappa = 1.3, 0.7
         mu_hat = mu / np.linalg.norm(mu, axis=1, keepdims=True)
-        full = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN)
+        full = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
         for i in range(10):
-            gate = np.exp((omega @ g[i]) / temps.kappa)
+            gate = np.exp((omega @ g[i]) / kappa)
             gate = gate / gate.sum()
             weights = []
             for c in range(3):
                 w = f[i, c] + mu_hat[c]
-                phi = math.exp(float(v[i, c] @ w) / temps.tau)
-                z = sum(math.exp(float(v[j, c] @ w) / temps.tau) for j in range(10))
+                phi = math.exp(float(v[i, c] @ w) / tau)
+                z = sum(math.exp(float(v[j, c] @ w) / tau) for j in range(10))
                 weights.append(gate[c] * phi / z)
             bayes = np.array(weights) / sum(weights)
             np.testing.assert_allclose(full.posterior[i], bayes, atol=1e-10)
 
 
-def previous_tail(fb, vb, blocks, g, mu, omega, temps, flags, include_positive, q_override=None):
+def previous_tail(
+    fb, vb, blocks, g, mu, omega, tau, kappa, flags, include_positive, q_override=None
+):
     """The ELBO tail as written before the one-pass rewrite, kept as its oracle:
     separate softmax, logsumexp, KL and entropy passes, mu normalized again for
     its gradient. One departure: its KL gave NaN where q = 0 met p = 0 (0 times
     inf), and those terms count 0 here."""
     v_eff = _route_heads(vb, flags)
     w = _combined(_route_heads(fb, flags), mu, flags)
-    gate = gating_distribution(g, omega, temps.kappa, flags)
-    scores = _score_core(w, v_eff, _route_heads(blocks, flags), temps.tau, include_positive)
+    gate = gating_distribution(g, omega, kappa, flags)
+    scores = _score_core(w, v_eff, _route_heads(blocks, flags), tau, include_positive)
     batch, num_k, dim = fb.shape
     with np.errstate(divide="ignore", invalid="ignore"):
         log_gate = np.log(gate)
@@ -826,7 +849,7 @@ def previous_tail(fb, vb, blocks, g, mu, omega, temps, flags, include_positive, 
             log_q = np.log(np.where(post > 0.0, post, 1.0))
             elbo_items = np.sum(np.where(post > 0.0, post * (s - log_q), 0.0), axis=-1)
         direction = (1.0 - scores.sig0)[..., np.newaxis] * v_eff - scores.mixture
-        grad_w = post[..., np.newaxis] * direction / temps.tau
+        grad_w = post[..., np.newaxis] * direction / tau
         scale = -1.0 / batch
         if flags.a4_single_head:
             grad_f = np.zeros_like(fb)
@@ -844,7 +867,7 @@ def previous_tail(fb, vb, blocks, g, mu, omega, temps, flags, include_positive, 
         if flags.a3_uniform_gating:
             grad_g = np.zeros((batch, omega.shape[1]))
         else:
-            grad_g = scale * ((post - gate) @ omega) / temps.kappa
+            grad_g = scale * ((post - gate) @ omega) / kappa
         kl_terms = post * (np.log(np.maximum(post, 1e-300)) - log_gate)
         kl = float(np.mean(np.sum(np.where(post > 0.0, kl_terms, 0.0), axis=-1)))
         q_log_q = np.where(post > 0.0, post * np.log(np.where(post > 0.0, post, 1.0)), 0.0)
@@ -897,16 +920,15 @@ class TestElboTail:
         omega = normalize_rows(rng.standard_normal((k, d)))
         flags = ModelFlags(*ablations)
         mu = None if flags.a5_no_class_term else rng.standard_normal((k, d))
-        temps = Temperatures(tau, kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = elbo_batch(f, v, g, queue, mu, omega, temps, flags)
-            free = full_batch_elbo_grads(f, v, g, mu, omega, temps, flags)
+            res = elbo_batch(f, v, g, queue, mu, omega, tau, kappa, flags)
+            free = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, flags)
         assert_matches_previous_tail(
-            res, previous_tail(f, v, queue, g, mu, omega, temps, flags, include_positive=True)
+            res, previous_tail(f, v, queue, g, mu, omega, tau, kappa, flags, include_positive=True)
         )
         assert_matches_previous_tail(
-            free, previous_tail(f, v, v, g, mu, omega, temps, flags, include_positive=False)
+            free, previous_tail(f, v, v, g, mu, omega, tau, kappa, flags, include_positive=False)
         )
 
         if q_kind == "none":
@@ -919,26 +941,25 @@ class TestElboTail:
             q = np.eye(k)[rng.integers(0, k, size=batch)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            held = full_batch_elbo_grads(f, v, g, mu, omega, temps, flags, q_override=q)
+            held = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, flags, q_override=q)
         assert_matches_previous_tail(
-            held, previous_tail(f, v, v, g, mu, omega, temps, flags, False, q_override=q)
+            held, previous_tail(f, v, v, g, mu, omega, tau, kappa, flags, False, q_override=q)
         )
 
     def underflowed_gate_instance(self):
         """Every g row on omega[0] at kappa = 1e-3: the other gates underflow to 0."""
         f, v, _, queue, mu, omega = random_instance(seed=31, n=5, k=4, d=4)
         g = np.tile(omega[0], (5, 1))
-        temps = Temperatures(1.0, 1e-3)
-        assert np.count_nonzero(gating_distribution(g, omega, temps.kappa, PLAIN) == 0.0) == 15
-        return f, v, g, queue, mu, omega, temps
+        assert np.count_nonzero(gating_distribution(g, omega, 1e-3, PLAIN) == 0.0) == 15
+        return f, v, g, queue, mu, omega, 1.0, 1e-3
 
     def test_kl_is_finite_when_a_gate_underflows(self):
-        f, v, g, queue, mu, omega, temps = self.underflowed_gate_instance()
+        f, v, g, queue, mu, omega, tau, kappa = self.underflowed_gate_instance()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = elbo_batch(f, v, g, queue, mu, omega, temps, PLAIN)
+            res = elbo_batch(f, v, g, queue, mu, omega, tau, kappa, PLAIN)
         q = res.posterior
-        p = gating_distribution(g, omega, temps.kappa, PLAIN)
+        p = gating_distribution(g, omega, kappa, PLAIN)
         expected = float(np.mean([
             sum(q[i, c] * (math.log(q[i, c]) - math.log(p[i, c])) for c in range(4) if q[i, c] > 0)
             for i in range(5)
@@ -949,11 +970,11 @@ class TestElboTail:
 
     def test_held_responsibilities_against_a_zero_gate_give_infinite_kl(self):
         """q > 0 where p = 0 keeps KL = +inf, the KL's value there, without a warning."""
-        f, v, g, _, mu, omega, temps = self.underflowed_gate_instance()
+        f, v, g, _, mu, omega, tau, kappa = self.underflowed_gate_instance()
         q = np.full((5, 4), 0.25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = full_batch_elbo_grads(f, v, g, mu, omega, temps, PLAIN, q_override=q)
+            res = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN, q_override=q)
         assert res.kl_term == math.inf
         assert math.isfinite(res.entropy)
 
@@ -971,20 +992,20 @@ ENTRY_POINTS = {
     "elbo_batch": (
         ("f", "v", "g", "mu", "omega", "blocks"),
         lambda a: elbo_batch(
-            a["f"], a["v"], a["g"], a["blocks"], a["mu"], a["omega"], Temperatures(), PLAIN
+            a["f"], a["v"], a["g"], a["blocks"], a["mu"], a["omega"], 1.0, 1.0, PLAIN
         ),
     ),
     "full_batch_elbo_grads": (
         ("f", "v", "g", "mu", "omega"),
         lambda a: full_batch_elbo_grads(
-            a["f"], a["v"], a["g"], a["mu"], a["omega"], Temperatures(), PLAIN
+            a["f"], a["v"], a["g"], a["mu"], a["omega"], 1.0, 1.0, PLAIN
         ),
     ),
     "exact_elbo": (
         ("v", "g", "mu", "omega"),
         lambda a: exact_elbo(
             a["f"], a["v"], a["g"], np.full((B, K), 1.0 / K), a["mu"], a["omega"],
-            Temperatures(), PLAIN,
+            1.0, 1.0, PLAIN,
         ),
     ),
 }
@@ -1110,10 +1131,9 @@ class TestPosteriorPaths:
         omega = normalize_rows(rng.standard_normal((k, d)))
         flags = ModelFlags(*ablations)
         mu = None if flags.a5_no_class_term else rng.standard_normal((k, d))
-        temps = Temperatures(tau, 1.0)
-        trained = elbo_batch(f, v, g, queue, mu, omega, temps, flags).posterior
+        trained = elbo_batch(f, v, g, queue, mu, omega, tau, 1.0, flags).posterior
         evaluated = posterior(
-            gating_distribution(g, omega, temps.kappa, flags),
+            gating_distribution(g, omega, 1.0, flags),
             expert_log_scores(v, f, mu, tau, flags),
             log_partition_estimates(f, v, queue, mu, tau, flags),
         )

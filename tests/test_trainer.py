@@ -188,10 +188,8 @@ class TestConfig:
             replace(TrainConfig(), **{field: value})
 
     def test_derived_views(self):
-        cfg = tiny_config(tau=0.3, kappa=2.0, a4_single_head=True, aug_sigma=0.2)
-        assert cfg.temps.tau == 0.3 and cfg.temps.kappa == 2.0
+        cfg = tiny_config(a4_single_head=True)
         assert cfg.flags.a4_single_head and not cfg.flags.a3_uniform_gating
-        assert cfg.augmentation.sigma == 0.2
 
 
 class TestSgdStep:
@@ -211,13 +209,11 @@ class TestSgdStep:
         assert grad.tobytes() == grad_before.tobytes()
 
     def test_derived_views_follow_a_replaced_config(self):
-        """The cached temps, flags and augmentation belong to their own config."""
-        cfg = tiny_config(tau=0.3)
-        assert cfg.temps.tau == 0.3 and cfg.temps is cfg.temps
-        other = replace(cfg, tau=0.5, a3_uniform_gating=True, aug_rho=0.2)
-        assert other.temps.tau == 0.5 and other.flags.a3_uniform_gating
-        assert other.augmentation.rho == 0.2
-        assert cfg.temps.tau == 0.3 and not cfg.flags.a3_uniform_gating
+        """The cached flags belong to their own config."""
+        cfg = tiny_config()
+        assert cfg.flags is cfg.flags
+        other = replace(cfg, a3_uniform_gating=True)
+        assert other.flags.a3_uniform_gating and not cfg.flags.a3_uniform_gating
 
 
 class TestLrSchedule:
@@ -421,6 +417,15 @@ class TestEvaluate:
         labels, post = evaluate(state, ds)
         assert post.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(labels, hard_assign(expected))
+
+    def test_pool_threads_keep_the_callers_float_error_handling(self, monkeypatch):
+        """A pooled chunk that overflows raises as one on the calling thread would."""
+        ds = tiny_dataset(n_per=_EVAL_CHUNK // 3 + 20)  # two chunks
+        state = init_state(tiny_config(), ds)
+        state.student.vec *= 1e200  # squaring the head outputs for their norms overflows
+        monkeypatch.setenv("MICE_THREADS", "2")
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            evaluate(state, ds)
 
     def test_repeat_calls_identical(self):
         ds = tiny_dataset()
