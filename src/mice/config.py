@@ -4,11 +4,12 @@ Keys are the fields of TrainConfig / SyntheticSpec, and each value is parsed by
 its field's annotation: `true`/`false` for a bool, an integer, a number, or a
 comma list of integers or numbers (an empty value is the empty list). Unknown
 keys are rejected by name; missing keys take the documented defaults baked into
-the dataclass.
+the dataclass; a spec key without a default must be given.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -89,9 +90,13 @@ def load_config(path) -> TrainConfig:
 
 
 def load_synthetic_spec(path) -> SyntheticSpec:
-    """Synthetic dataset spec from a key-value file; unknown keys are an error."""
+    """Synthetic dataset spec from a key-value file; unknown keys are an error, and so
+    are missing keys without a default, all named in one message."""
     kwargs = _load_fields(path, SyntheticSpec, "spec")
-    try:
-        return SyntheticSpec(**kwargs)
-    except TypeError as exc:
-        raise InvalidSpecError(str(exc)) from exc
+    required = [f.name for f in fields(SyntheticSpec) if f.default is MISSING]
+    missing = [name for name in required if name not in kwargs]
+    if missing:
+        raise InvalidSpecError(
+            f"missing spec key{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))}"
+        )
+    return SyntheticSpec(**kwargs)

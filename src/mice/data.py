@@ -12,7 +12,8 @@ last line feed, so memory stays near one block plus the parsed arrays. Each
 block's rows go through numpy's C tokenizer in one call, and field counts,
 finiteness and labels are checked on the results. Only when that fails does a
 per-line scan of that block run, to name the first bad line. The writer formats
-_WRITE_ROWS rows at a time.
+_WRITE_ROWS rows at a time, and `generate` normalizes its points in place in
+blocks of as many rows.
 
 Float fields follow numpy's grammar: Python's `float` syntax without
 underscores or non-ASCII digits, padded by any Unicode whitespace. Labels are
@@ -32,7 +33,7 @@ from .prototypes import max_mahalanobis_centers
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _READ_BYTES = 1 << 18  # load_dataset reads the file in blocks of about this many bytes
-_WRITE_ROWS = 1024  # save_dataset formats this many rows at a time
+_WRITE_ROWS = 1024  # save_dataset formats, and generate normalizes, this many rows at a time
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
         points = rng.standard_normal((k * n, d))  # the noise, made into the points in place
         points /= np.sqrt(spec.concentration)
         points.reshape(k, n, d)[...] += directions[:, np.newaxis, :]
-        points /= nonzero_row_norms(points)[:, np.newaxis]
+        for start in range(0, k * n, _WRITE_ROWS):  # no (N, d) square of the points
+            rows = points[start : start + _WRITE_ROWS]
+            rows /= nonzero_row_norms(rows)[:, np.newaxis]
         truth = np.repeat(np.arange(1, k + 1), n)
     except (MemoryError, ValueError) as exc:
         raise InvalidSpecError(f"the spec needs more memory than is available: {exc}") from exc

@@ -8,8 +8,6 @@ unnormalized between updates and l2-normalized wherever it enters a score.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import (
@@ -21,15 +19,19 @@ from .errors import (
 from .numcore import ZERO_NORM_EPS, l2_normalize
 
 
+# max_mahalanobis_centers takes a radicand this close to 0 as 0.
+_RADICAND_TOL = 1e-9
+
+
 def max_mahalanobis_centers(num_clusters: int, dim: int) -> np.ndarray:
     """K unit vectors in R^dim with every pairwise dot product equal to -1/(K-1).
 
     Sequential construction: row 0 is e1; each later row i fills components
     j < i by forcing the required dot product against row j, then sets its
-    diagonal component to sqrt(1 - ||partial||^2). Requires K <= dim + 1; when
-    K = dim + 1 the last row has no diagonal slot left and its radicand is
-    structurally zero. A rounding-negative radicand is clamped to 0 with a
-    warning.
+    diagonal component to sqrt(1 - ||partial||^2). Requires K <= dim + 1. The
+    radicand of row K - 1 is exactly 0 in theory, and when K = dim + 1 that row
+    has no diagonal slot left. A rounding residue within _RADICAND_TOL of 0 is
+    taken as 0 silently; a larger one is an InvalidInputError.
     """
     if num_clusters < 2:
         raise InvalidInputError(f"need at least 2 clusters, got {num_clusters}")
@@ -46,17 +48,10 @@ def max_mahalanobis_centers(num_clusters: int, dim: int) -> np.ndarray:
             partial = float(np.dot(omega[i, :j], omega[j, :j]))
             omega[i, j] = (target - partial) / omega[j, j]
         radicand = 1.0 - float(np.dot(omega[i, :i], omega[i, :i]))
+        if radicand < -_RADICAND_TOL or (i == dim and radicand > _RADICAND_TOL):
+            raise InvalidInputError(f"row {i} has radicand {radicand!r}, beyond rounding of 0")
         if i < dim:
-            if radicand < 0.0:
-                warnings.warn(
-                    f"clamping negative radicand {radicand!r} at row {i}", RuntimeWarning
-                )
-                radicand = 0.0
-            omega[i, i] = np.sqrt(radicand)
-        elif abs(radicand) > 1e-9:
-            raise InvalidInputError(
-                f"row {i} has no diagonal slot but residual radicand {radicand!r}"
-            )
+            omega[i, i] = np.sqrt(max(radicand, 0.0))
     return omega
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -353,30 +353,52 @@ def _posterior_chunk(state: TrainState, points: np.ndarray, snapshot: np.ndarray
 def evaluate(state: TrainState, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (augmentation-free) labels and posterior for every point.
 
-    Work is split into fixed _EVAL_CHUNK-row chunks and fanned out over a
-    thread pool capped by MICE_THREADS; chunking is independent of the worker
-    count, so the result is identical for any setting. Each chunk runs under
-    the caller's numpy floating-point error handling, in a pool thread too.
+    Work is split into fixed _EVAL_CHUNK-row chunks, taken in turn by the calling
+    thread and up to MICE_THREADS - 1 helper threads; chunking is independent of
+    the worker count, so the result is identical for any setting. Each chunk runs
+    under the caller's numpy floating-point error handling, in a helper too. The
+    first exception in a chunk stops the hand-out and is re-raised here once every
+    helper has returned.
     """
     points = dataset.points
     n = points.shape[0]
     snapshot = state.queue.snapshot()
     post = np.zeros((n, state.config.num_clusters))
-    starts = list(range(0, n, _EVAL_CHUNK))
-    workers = min(worker_count(), len(starts)) or 1
+    chunks = range(0, n, _EVAL_CHUNK)
+    starts = iter(chunks)
+    helpers = min(worker_count(), len(chunks)) - 1
     errors = np.geterr()  # a new thread starts with numpy's defaults
+    lock = threading.Lock()
+    failures: list[BaseException] = []
 
-    def run(start: int) -> None:
-        stop = min(start + _EVAL_CHUNK, n)
-        with np.errstate(**errors):
-            post[start:stop] = _posterior_chunk(state, points[start:stop], snapshot)
+    def work() -> None:
+        while True:
+            with lock:
+                start = None if failures else next(starts, None)
+            if start is None:
+                return
+            try:
+                with np.errstate(**errors):
+                    post[start : start + _EVAL_CHUNK] = _posterior_chunk(
+                        state, points[start : start + _EVAL_CHUNK], snapshot
+                    )
+            except BaseException as exc:  # re-raised by the caller
+                with lock:
+                    failures.append(exc)
+                return
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return hard_assign(post), post
 
 

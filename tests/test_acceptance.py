@@ -38,8 +38,6 @@ from mice.trainer import (
     save_checkpoint,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:clamping negative radicand")
-
 
 def report(line: str) -> None:
     print(line)

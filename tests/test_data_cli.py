@@ -450,10 +450,12 @@ class TestCli:
         assert report["final"]["which"] == which
         assert sum(report["final"]["occupancy"]) == 45
 
-    @pytest.mark.filterwarnings("ignore:clamping negative radicand")
     def test_verify_subcommand(self, capsys):
+        """Every check passes, and a passing run writes nothing to stderr."""
         assert cli_main(["verify", "--suite", "mmd"]) == 0
-        out = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out.splitlines()
         assert all(line.startswith("[PASS] ") for line in out[:-1])
         checks = out[-1].split()[0]
         passed, total = checks.split("/")
@@ -566,6 +568,23 @@ class TestHostileInputCli:
         capsys.readouterr()
         assert cli_main(argv + [option, str(workdir / "bad.txt")]) == 1
         assert "not valid UTF-8 at byte 9" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("concentration",), "missing spec key 'concentration'"),
+            (("input_dim", "concentration"), "missing spec keys 'input_dim', 'concentration'"),
+        ],
+    )
+    def test_gen_data_with_missing_spec_keys(self, workdir, capsys, keys, message):
+        kept = [line for line in SPEC_TEXT.splitlines() if line.split()[0] not in keys]
+        (workdir / "short.txt").write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        code = cli_main(["gen-data", "--spec", str(workdir / "short.txt"), "--out", str(workdir / "o.csv")])
+        assert code == 1
+        line = self.one_error_line(capsys)
+        assert line == f"error: {message}" and "__init__" not in line
+        assert not (workdir / "o.csv").exists()
 
     @pytest.mark.parametrize("key", ["points_per_cluster", "num_clusters", "input_dim"])
     def test_gen_data_with_spec_too_large_for_memory(self, workdir, capsys, key):

@@ -310,6 +310,13 @@ def traced_peak(thunk) -> int:
     return peak
 
 
+def test_generate_peaks_near_its_points():
+    """generate normalizes in row blocks: no (N, d) temporary beside the points."""
+    spec = SyntheticSpec(4, 16, 5000, 50.0)
+    points_bytes = spec.num_clusters * spec.points_per_cluster * spec.input_dim * 8
+    assert traced_peak(lambda: generate(spec)) <= 1.5 * points_bytes
+
+
 def test_load_peaks_under_eight_mib(large_csv):
     """About one read block plus the parsed arrays, not the whole file as Python objects."""
     dataset, path = large_csv

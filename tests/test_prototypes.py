@@ -5,6 +5,8 @@ optimality property (no configuration of K unit vectors can push the largest
 pairwise dot below -1/(K-1)); the latter is cross-checked by random search.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,10 +74,13 @@ class TestDispersedFrame:
         with pytest.raises(InvalidInputError):
             max_mahalanobis_centers(1, 4)
 
-    def test_rounding_clamp_warns_and_stays_valid(self):
-        """(K=6, d=8) hits a radicand a few ulp below zero on the final row."""
-        with pytest.warns(RuntimeWarning, match="clamping negative radicand"):
+    def test_rounding_clamp_is_silent_and_stays_valid(self):
+        """(K=6, d=8) hits a radicand a few ulp below zero on the final row; it is
+        taken as 0 without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             omega = max_mahalanobis_centers(6, 8)
+        assert omega[5, 5] == 0.0
         np.testing.assert_allclose(row_norms(omega), 1.0, atol=1e-12)
         gram = omega @ omega.T
         off = gram[~np.eye(6, dtype=bool)]

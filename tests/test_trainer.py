@@ -9,12 +9,16 @@ import json
 import math
 import os
 import struct
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mice import encoder as enc
+from mice import trainer
 from mice.data import Dataset, SyntheticSpec, generate
 from mice.errors import (
     ConfigError,
@@ -426,6 +430,92 @@ class TestEvaluate:
         monkeypatch.setenv("MICE_THREADS", "2")
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             evaluate(state, ds)
+
+    @staticmethod
+    def chunked(chunks: int) -> Dataset:
+        """A dataset of exactly `chunks` evaluate chunks."""
+        points = tiny_dataset(n_per=chunks * _EVAL_CHUNK // 3 + 1).points
+        return Dataset(points[: chunks * _EVAL_CHUNK])
+
+    @staticmethod
+    def start_of(chunk: np.ndarray, ds: Dataset) -> int:
+        """The first row of `chunk`, a view of ds.points, in ds.points."""
+        return (chunk.ctypes.data - ds.points.ctypes.data) // ds.points.strides[0]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_caller_scores_chunks_beside_at_most_k_minus_1_helpers(self, monkeypatch, threads):
+        """MICE_THREADS=k: the calling thread takes chunks, at most k - 1 threads start,
+        and none is left running when evaluate returns."""
+        ds = self.chunked(5)
+        state = init_state(tiny_config(), ds)
+        original, idents, active = trainer._posterior_chunk, set(), []
+
+        def recording(*args):
+            idents.add(threading.get_ident())
+            active.append(threading.active_count())
+            time.sleep(0.02)  # long enough that every started helper gets a chunk
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "_posterior_chunk", recording)
+        monkeypatch.setenv("MICE_THREADS", str(threads))
+        before = threading.active_count()
+        evaluate(state, ds)
+        assert threading.get_ident() in idents and len(idents) <= threads
+        assert max(active) <= before + threads - 1
+        assert threading.active_count() == before
+
+    def test_the_first_chunk_error_stops_the_hand_out(self, monkeypatch):
+        """A raising chunk ends evaluate with that exception once every helper has
+        returned, and at most 2 other chunks start after it."""
+        ds = self.chunked(8)
+        state = init_state(tiny_config(), ds)
+        original, started, lock = trainer._posterior_chunk, [], threading.Lock()
+
+        class ChunkFailure(Exception):
+            pass
+
+        def failing_third(state_, points, snapshot):
+            start = self.start_of(points, ds)
+            with lock:
+                started.append(start)
+            if start == 2 * _EVAL_CHUNK:
+                raise ChunkFailure("third chunk")
+            time.sleep(0.01)
+            return original(state_, points, snapshot)
+
+        monkeypatch.setattr(trainer, "_posterior_chunk", failing_third)
+        monkeypatch.setenv("MICE_THREADS", "2")
+        before = threading.active_count()
+        with pytest.raises(ChunkFailure):
+            evaluate(state, ds)
+        assert threading.active_count() == before
+        assert started.count(2 * _EVAL_CHUNK) == 1
+        assert len(started) - 1 - started.index(2 * _EVAL_CHUNK) <= 2
+
+    def test_more_workers_than_cores_score_each_chunk_once(self, monkeypatch):
+        """Stress the locked hand-out: 8 workers and a short switch interval still take
+        every chunk exactly once and give the one-worker answer."""
+        ds = self.chunked(16)
+        state = init_state(tiny_config(), ds)
+        monkeypatch.setenv("MICE_THREADS", "1")
+        expected = evaluate(state, ds)[1]
+        original, started, lock = trainer._posterior_chunk, [], threading.Lock()
+
+        def recording(state_, points, snapshot):
+            with lock:
+                started.append(self.start_of(points, ds))
+            return original(state_, points, snapshot)
+
+        monkeypatch.setattr(trainer, "_posterior_chunk", recording)
+        monkeypatch.setenv("MICE_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            post = evaluate(state, ds)[1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(0, 16 * _EVAL_CHUNK, _EVAL_CHUNK))
+        assert post.tobytes() == expected.tobytes()
 
     def test_repeat_calls_identical(self):
         ds = tiny_dataset()
