@@ -16,8 +16,9 @@ import numpy as np
 from . import encoder as enc
 from .data import Dataset
 from .errors import EmptyQueueError, FlagMismatchError, InvalidInputError
-from .numcore import make_rng, normalize_rows, row_norms
-from .prototypes import PrototypeAccumulator, analytic_prototype_update, normalized_prototypes
+from .numcore import ZERO_NORM_EPS, logsumexp_rows, make_rng, normalize_rows, row_norms
+from .prototypes import PrototypeAccumulator, analytic_prototype_update
+from .trainer import fit
 
 KMEANS_RESTARTS = 10
 
@@ -75,7 +76,7 @@ def spherical_kmeans(
                 continue  # empty cluster keeps its centroid
             total = members.sum(axis=0)
             norm = float(np.sqrt(np.dot(total, total)))
-            if norm > 1e-12:
+            if norm > ZERO_NORM_EPS:
                 centroids[k - 1] = total / norm
         if labels_prev is not None and np.array_equal(labels, labels_prev):
             break
@@ -105,8 +106,6 @@ def best_of_restarts(points: np.ndarray, num_clusters: int, seed: int) -> KMeans
 
 def infonce_loss(f: np.ndarray, v: np.ndarray, queue_rows: np.ndarray, tau: float) -> float:
     """Single-pair InfoNCE: -log of the positive's share of exp(score/tau) mass."""
-    from .numcore import log_sum_exp
-
     if not tau > 0.0:
         raise InvalidInputError(f"tau {tau!r} must be > 0")
     fv = np.asarray(f, dtype=np.float64)
@@ -115,16 +114,16 @@ def infonce_loss(f: np.ndarray, v: np.ndarray, queue_rows: np.ndarray, tau: floa
     if q.ndim != 2 or q.shape[0] == 0:
         raise EmptyQueueError("infonce_loss needs at least one negative row")
     pos = float(np.dot(vv, fv)) / tau
-    negs = (q @ fv) / tau
-    return log_sum_exp(np.concatenate(([pos], negs))) - pos
+    scores = np.concatenate(([pos], (q @ fv) / tau))
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInputError("infonce_loss scores must be finite")
+    return float(logsumexp_rows(scores)) - pos
 
 
 def two_stage_pipeline(config, dataset: Dataset) -> np.ndarray:
     """Instance-discrimination ablation (uniform gating, single head, no class term)
     trained with the shared trainer, then restarted spherical k-means on the final
     teacher embeddings. Returns 1-indexed labels."""
-    from .trainer import fit
-
     _check_cluster_count(config.num_clusters, dataset.points.shape[0])  # before any training
     ablated = replace(
         config, a3_uniform_gating=True, a4_single_head=True, a5_no_class_term=True
@@ -148,7 +147,7 @@ def kmeans_equivalence_check(state, dataset: Dataset) -> tuple[bool, dict]:
             "equivalence check needs a3_uniform_gating and a4_single_head set, a5 unset"
         )
     embeddings = enc.forward_teacher(dataset.points, state.teacher)[:, 0, :]
-    mu_unit = normalized_prototypes(state.mu)
+    mu_unit = normalize_rows(state.mu)
     k = mu_unit.shape[0]
 
     # Model path: hard assignments from the simplified posterior, whose argmax is

@@ -97,8 +97,7 @@ def _cmd_train(args) -> int:
     if args.report:
         report = build_report(
             "train",
-            config.seed,
-            config.to_dict(),
+            config,
             _final_metrics(dataset.truth, labels, config.num_clusters, post),
             wall,
             epochs=epoch_log,
@@ -116,8 +115,7 @@ def _cmd_eval(args) -> int:
     if args.report:
         report = build_report(
             "eval",
-            state.config.seed,
-            state.config.to_dict(),
+            state.config,
             _final_metrics(dataset.truth, labels, state.config.num_clusters, post),
             wall,
         )
@@ -138,7 +136,7 @@ def _cmd_baseline(args) -> int:
     if args.report:
         final = _final_metrics(dataset.truth, labels, config.num_clusters)
         final["which"] = args.which
-        report = build_report("baseline", config.seed, config.to_dict(), final, wall)
+        report = build_report("baseline", config, final, wall)
         write_report(report, args.report)
     return 0
 

@@ -64,8 +64,7 @@ from .errors import (
     NonPositiveTemperatureError,
 )
 # logsumexp_rows is not called here; bench/tracer.py wraps model.logsumexp_rows by name.
-from .numcore import logsumexp_rows, softmax_rows  # noqa: F401
-from .prototypes import unit_prototypes_with_norms
+from .numcore import logsumexp_rows, nonzero_row_norms, softmax_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,8 @@ def _checked(f, v, mu, tau: float, flags: ModelFlags, blocks=None, g=None, omega
     elif np.shape(mu) != (num_k, dim):
         raise DimensionMismatchError(f"mu shape {np.shape(mu)} is not (K, d) = {(num_k, dim)}")
     else:
-        protos = unit_prototypes_with_norms(mu)
+        norms = nonzero_row_norms(np.asarray(mu, dtype=np.float64))[:, np.newaxis]
+        protos = mu / norms, norms
     if blocks is not None:
         blocks = np.asarray(blocks, dtype=np.float64)
         if blocks.ndim != 3 or blocks.shape[1:] != (num_k, dim):
@@ -514,26 +514,6 @@ def elbo_batch(
     """
     checked = _checked(f, v, mu, tau, flags, blocks=queue_blocks, g=g, omega=omega, kappa=kappa)
     return _elbo_result(checked, omega, tau, kappa, flags)
-
-
-def exact_elbo(
-    f_all,
-    v_all,
-    g_all,
-    q: np.ndarray,
-    mu: np.ndarray | None,
-    omega: np.ndarray,
-    tau: float,
-    kappa: float,
-    flags: ModelFlags,
-) -> float:
-    """Dataset-mean ELBO with the exact partition (sum over all N teacher blocks).
-
-    `q` is an explicit (N, K) responsibility matrix; terms with q = 0 contribute 0.
-    """
-    return full_batch_elbo_grads(
-        f_all, v_all, g_all, mu, omega, tau, kappa, flags, q_override=q
-    ).elbo
 
 
 def full_batch_elbo_grads(

@@ -16,7 +16,7 @@ from .errors import (
     TooManyClustersError,
     ZeroNormError,
 )
-from .numcore import ZERO_NORM_EPS, l2_normalize
+from .numcore import ZERO_NORM_EPS
 
 
 # max_mahalanobis_centers takes a radicand this close to 0 as 0.
@@ -105,7 +105,8 @@ def analytic_prototype_update(
     """Closed-form M-step for mu: each row is the normalized sum of its bucket.
 
     A bucket whose sum has norm <= 1e-12 (empty, or exactly cancelling) keeps the
-    previous prototype, normalized.
+    previous prototype, divided by its norm. That row must have a finite norm
+    (else InvalidInputError) above 1e-12 (else ZeroNormError).
     """
     prev = np.asarray(previous_mu, dtype=np.float64)
     if prev.shape != acc.sums.shape:
@@ -114,23 +115,14 @@ def analytic_prototype_update(
         )
     out = np.empty_like(acc.sums)
     for k in range(acc.num_clusters):
-        norm = float(np.sqrt(np.dot(acc.sums[k], acc.sums[k])))
+        row = acc.sums[k]
+        norm = float(np.sqrt(np.dot(row, row)))
         if norm <= ZERO_NORM_EPS:
-            out[k] = l2_normalize(prev[k])
-        else:
-            out[k] = acc.sums[k] / norm
+            row = prev[k]
+            norm = float(np.sqrt(np.dot(row, row)))
+            if not np.isfinite(norm):
+                raise InvalidInputError(f"previous prototype {k} has norm {norm!r}")
+            if norm <= ZERO_NORM_EPS:
+                raise ZeroNormError(f"previous prototype {k} has norm {norm!r}")
+        out[k] = row / norm
     return out
-
-
-def unit_prototypes_with_norms(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """normalized_prototypes(mu) and the (K, 1) row norms it divided by."""
-    m = np.asarray(mu, dtype=np.float64)
-    norms = np.sqrt(np.sum(np.square(m), axis=-1, keepdims=True))
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroNormError("prototype row has zero norm")
-    return m / norms, norms
-
-
-def normalized_prototypes(mu: np.ndarray) -> np.ndarray:
-    """mu with each row l2-normalized — the form in which mu enters every score."""
-    return unit_prototypes_with_norms(mu)[0]

@@ -19,14 +19,14 @@ import json
 from pathlib import Path
 
 from . import __version__
+from .trainer import TrainConfig
 
 SCHEMA_VERSION = 1
 
 
 def build_report(
     command: str,
-    seed: int,
-    config_echo: dict,
+    config: TrainConfig,
     final: dict,
     wall_clock_seconds: float,
     epochs: list[dict] | None = None,
@@ -35,8 +35,8 @@ def build_report(
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
-        "seed": seed,
-        "config": config_echo,
+        "seed": config.seed,
+        "config": config.to_dict(),
         "epochs": epochs,
         "final": final,
         "wall_clock_seconds": wall_clock_seconds,

@@ -40,7 +40,6 @@ from .model import (
     EmbeddingQueue,
     ModelFlags,
     elbo_batch,
-    exact_elbo,
     full_batch_elbo_grads,
     gating_distribution,
     hard_assign,
@@ -436,10 +435,10 @@ def classical_em_run(config: TrainConfig, dataset: Dataset, steps: int, lr: floa
         f_new, _ = enc.forward_student(points, state.student)
         g_new, _ = enc.forward_gating(points, state.student)
         after_m.append(
-            exact_elbo(
-                f_new, v_all, g_new, q_fixed, state.mu, state.omega,
-                config.tau, config.kappa, config.flags,
-            )
+            full_batch_elbo_grads(
+                f_new, v_all, g_new, state.mu, state.omega,
+                config.tau, config.kappa, config.flags, q_override=q_fixed,
+            ).elbo
         )
     return {"after_e": after_e, "after_m": after_m}
 

@@ -95,25 +95,25 @@ def test_c03_gradient_fidelity():
 
 
 def test_c04_ablated_objective_is_infonce():
-    result = verify.check_infonce_reduction(instances=100)
+    result = verify.check_infonce_reduction()
     report(f"[c04] {result.detail}")
     assert result.passed, result.detail
 
 
 def test_c05_ablated_posterior_is_uniform():
-    result = verify.check_uniform_posterior(instances=100)
+    result = verify.check_uniform_posterior()
     report(f"[c05] {result.detail}")
     assert result.passed, result.detail
 
 
 def test_c06_hard_em_step_is_spherical_kmeans():
-    result = verify.check_kmeans_equivalence(instances=100)
+    result = verify.check_kmeans_equivalence()
     report(f"[c06] {result.detail}")
     assert result.passed, result.detail
 
 
 def test_c07a_partition_estimate_bound():
-    result = verify.check_partition_bound(instances=1000)
+    result = verify.check_partition_bound()
     report(f"[c07a] {result.detail}")
     assert result.passed, result.detail
 

@@ -26,11 +26,7 @@ from mice.errors import EmptyQueueError, FlagMismatchError, InvalidInputError
 from mice.metrics import acc
 from mice.model import ModelFlags, elbo_batch
 from mice.numcore import make_rng, normalize_rows
-from mice.prototypes import (
-    PrototypeAccumulator,
-    analytic_prototype_update,
-    normalized_prototypes,
-)
+from mice.prototypes import PrototypeAccumulator, analytic_prototype_update
 from mice.trainer import TrainConfig, fit, init_state
 
 ABLATED = dict(a3_uniform_gating=True, a4_single_head=True, a5_no_class_term=True)
@@ -169,6 +165,14 @@ class TestInfoNce:
         with pytest.raises(InvalidInputError):
             infonce_loss(f, f, f[np.newaxis, :], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        f = np.array([1.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            infonce_loss(f, np.array([bad, 0.0]), f[np.newaxis, :], 1.0)
+        with pytest.raises(InvalidInputError):
+            infonce_loss(f, f, np.array([[1.0, 0.0], [bad, 0.0]]), 1.0)
+
     def test_ablated_elbo_is_negative_infonce(self):
         """All three ablations on: the batch objective collapses to InfoNCE of the
         row-0 pair against the row-0 queue column, for any K."""
@@ -218,7 +222,7 @@ class TestEquivalenceCheck:
         ds = generate(SyntheticSpec(3, 6, 20, 10.0, seed=2))
         state = init_state(cfg, ds)
         embeddings = enc.forward_teacher(ds.points, state.teacher)[:, 0, :]
-        mu_unit = normalized_prototypes(state.mu)
+        mu_unit = normalize_rows(state.mu)
         labels = np.argmax(embeddings @ mu_unit.T, axis=1) + 1
 
         def analytic(assignment):

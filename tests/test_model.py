@@ -31,7 +31,6 @@ from mice.model import (
     ModelFlags,
     elbo_batch,
     entropy_mean,
-    exact_elbo,
     expert_log_scores,
     full_batch_elbo_grads,
     gating_distribution,
@@ -42,14 +41,14 @@ from mice.model import (
 from mice import model
 from mice.model import _needs_shift, _route_heads, _score_core
 from mice.numcore import logsumexp_rows, make_rng, normalize_rows, softmax_rows
-from mice.prototypes import max_mahalanobis_centers, normalized_prototypes
+from mice.prototypes import max_mahalanobis_centers
 
 PLAIN = ModelFlags()
 
 
 def _combined(f, mu, flags):
     """w = f + mu_hat as the scoring core takes it; f alone under a5."""
-    return f if flags.a5_no_class_term else f + normalized_prototypes(mu)
+    return f if flags.a5_no_class_term else f + normalize_rows(mu)
 
 
 def random_instance(seed, n=6, k=3, d=4, fill=5):
@@ -621,7 +620,7 @@ class TestTemperatures:
                 with pytest.raises(NonPositiveTemperatureError):
                     full_batch_elbo_grads(f, v_, g_, mu, omega_, tau, kappa, PLAIN)
                 with pytest.raises(NonPositiveTemperatureError):
-                    exact_elbo(f, v_, g_, q, mu, omega_, tau, kappa, PLAIN)
+                    full_batch_elbo_grads(f, v_, g_, mu, omega_, tau, kappa, PLAIN, q_override=q)
 
     @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan])
     def test_tau_is_checked_before_shapes(self, tau):
@@ -741,21 +740,27 @@ class TestFullDataset:
         ref_elbo, ref_post = brute_full_elbo(f, v, g, mu, omega, tau, kappa)
         np.testing.assert_allclose(res.elbo, ref_elbo, rtol=1e-12)
         np.testing.assert_allclose(res.posterior, ref_post, atol=1e-12)
-        value = exact_elbo(f, v, g, res.posterior, mu, omega, tau, kappa, PLAIN)
-        np.testing.assert_allclose(value, ref_elbo, rtol=1e-12)
+        held = full_batch_elbo_grads(
+            f, v, g, mu, omega, tau, kappa, PLAIN, q_override=res.posterior
+        )
+        np.testing.assert_allclose(held.elbo, ref_elbo, rtol=1e-12)
 
     def test_posterior_maximizes_exact_elbo(self):
         """100 multiplicative perturbations of q never beat the fresh posterior."""
         f, v, g, _, mu, omega = random_instance(seed=19, n=15, k=3, d=4)
         tau, kappa = 1.0, 1.0
         res = full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN)
-        base = exact_elbo(f, v, g, res.posterior, mu, omega, tau, kappa, PLAIN)
+
+        def exact(q):
+            return full_batch_elbo_grads(f, v, g, mu, omega, tau, kappa, PLAIN, q_override=q).elbo
+
+        base = exact(res.posterior)
         np.testing.assert_allclose(base, res.elbo, rtol=1e-12)
         rng = make_rng(20)
         for _ in range(100):
             noisy = res.posterior * np.exp(0.3 * rng.standard_normal(res.posterior.shape))
             noisy /= noisy.sum(axis=1, keepdims=True)
-            assert exact_elbo(f, v, g, noisy, mu, omega, tau, kappa, PLAIN) <= base + 1e-12
+            assert exact(noisy) <= base + 1e-12
 
     def test_one_hot_q(self):
         """Hard responsibilities: ELBO reduces to the mean of the selected scores
@@ -766,7 +771,9 @@ class TestFullDataset:
         labels = np.argmax(res.posterior, axis=1)
         one_hot = np.zeros_like(res.posterior)
         one_hot[np.arange(8), labels] = 1.0
-        value = exact_elbo(f, v, g, one_hot, mu, omega, tau, kappa, PLAIN)
+        value = full_batch_elbo_grads(
+            f, v, g, mu, omega, tau, kappa, PLAIN, q_override=one_hot
+        ).elbo
 
         scores = brute_score_matrix(f, v, g, mu, omega, tau, kappa)
         np.testing.assert_allclose(value, float(np.mean(scores[np.arange(8), labels])), rtol=1e-12)
@@ -1001,12 +1008,13 @@ ENTRY_POINTS = {
             a["f"], a["v"], a["g"], a["mu"], a["omega"], 1.0, 1.0, PLAIN
         ),
     ),
+    # The exact ELBO for fixed responsibilities q.
     "exact_elbo": (
         ("v", "g", "mu", "omega"),
-        lambda a: exact_elbo(
-            a["f"], a["v"], a["g"], np.full((B, K), 1.0 / K), a["mu"], a["omega"],
-            1.0, 1.0, PLAIN,
-        ),
+        lambda a: full_batch_elbo_grads(
+            a["f"], a["v"], a["g"], a["mu"], a["omega"], 1.0, 1.0, PLAIN,
+            q_override=np.full((B, K), 1.0 / K),
+        ).elbo,
     ),
 }
 # Malformed shapes per argument, against f of shape (B, K, D) and g of width D.

@@ -18,12 +18,11 @@ from mice.errors import (
     TooManyClustersError,
     ZeroNormError,
 )
-from mice.numcore import make_rng, row_norms
+from mice.numcore import make_rng, normalize_rows, row_norms
 from mice.prototypes import (
     PrototypeAccumulator,
     analytic_prototype_update,
     max_mahalanobis_centers,
-    normalized_prototypes,
 )
 
 SQRT3_OVER_2 = 0.8660254037844386  # sqrt(3)/2
@@ -213,6 +212,30 @@ class TestAnalyticUpdate:
         mu = analytic_prototype_update(acc, np.array([[0.0, 2.0]]))
         np.testing.assert_array_equal(mu, [[0.0, 1.0]])
 
+    def test_fallback_divides_by_the_norm(self):
+        """An empty bucket's row is prev[k] / sqrt(prev[k] . prev[k]) bit for bit,
+        also for a previous row that is already unit within 1e-13."""
+        rng = make_rng(5)
+        for scale in (1.0, 1.0 + 5e-14, 1.0 - 5e-14, 1e-3, 7.5):
+            prev = normalize_rows(rng.standard_normal((3, 6))) * scale
+            prev[1] = rng.standard_normal(6)
+            mu = analytic_prototype_update(PrototypeAccumulator(3, 6), prev)
+            for k in range(3):
+                np.testing.assert_array_equal(mu[k], prev[k] / np.sqrt(np.dot(prev[k], prev[k])))
+
+    def test_fallback_rejects_a_zero_previous_row(self):
+        acc = PrototypeAccumulator(2, 2)
+        acc.add(np.array([[[1.0, 0.0], [0.0, 0.0]]]), [1])
+        with pytest.raises(ZeroNormError):
+            analytic_prototype_update(acc, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fallback_rejects_a_non_finite_previous_row(self, bad):
+        acc = PrototypeAccumulator(2, 2)
+        acc.add(np.array([[[1.0, 0.0], [0.0, 0.0]]]), [1])
+        with pytest.raises(InvalidInputError):
+            analytic_prototype_update(acc, np.array([[1.0, 0.0], [bad, 1.0]]))
+
     def test_order_invariance(self):
         rng = make_rng(33)
         blocks = rng.standard_normal((100, 3, 4))
@@ -240,12 +263,15 @@ class TestAnalyticUpdate:
 
 
 class TestNormalizedPrototypes:
+    """mu enters the k-means check as normalize_rows(mu), and every score divided
+    by the same row norms."""
+
     def test_rows_unit_and_input_untouched(self):
         mu = np.array([[3.0, 4.0], [0.0, 0.5]])
-        out = normalized_prototypes(mu)
+        out = normalize_rows(mu)
         np.testing.assert_allclose(out, [[0.6, 0.8], [0.0, 1.0]], rtol=1e-15)
         np.testing.assert_array_equal(mu, [[3.0, 4.0], [0.0, 0.5]])
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroNormError):
-            normalized_prototypes(np.array([[1.0, 0.0], [0.0, 0.0]]))
+            normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
