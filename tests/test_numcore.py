@@ -59,6 +59,13 @@ class TestLogSumExp:
             logsumexp_rows(np.array([a, a])), a + math.log(2.0), rtol=1e-15
         )
 
+    def test_empty_rejected(self):
+        """An empty row has no logsumexp: it raises instead of returning -inf."""
+        with pytest.raises(ValueError):
+            logsumexp_rows(np.array([]))
+        with pytest.raises(ValueError):
+            logsumexp_rows(np.zeros((3, 0)))
+
     def test_overflow_guard(self):
         out = logsumexp_rows(np.array([[1000.0, 1000.0], [1e300, -1e300]]))
         assert np.all(np.isfinite(out))
