@@ -28,7 +28,6 @@ class KMeansResult:
     labels: np.ndarray  # (N,) 1-indexed
     centroids: np.ndarray  # (K, d) unit rows
     objective: float  # sum over points of cosine to the assigned centroid
-    iterations: int
 
 
 def spherical_kmeans(
@@ -61,8 +60,7 @@ def spherical_kmeans(
     objective_prev = -np.inf
     labels = np.zeros(n, dtype=np.int64)
     objective = 0.0
-    iteration = 0
-    for iteration in range(1, max_iters + 1):
+    for _ in range(max_iters):
         scores = pts @ centroids.T
         labels = np.argmax(scores, axis=1) + 1  # first max wins: lowest index on ties
         objective = float(scores[np.arange(n), labels - 1].sum())
@@ -82,7 +80,7 @@ def spherical_kmeans(
             break
         labels_prev = labels
         objective_prev = objective
-    return KMeansResult(labels, centroids, objective, iteration)
+    return KMeansResult(labels, centroids, objective)
 
 
 def _check_cluster_count(num_clusters: int, n: int) -> None:

@@ -23,9 +23,9 @@ from .errors import MiceError
 from .metrics import acc, ari, nmi
 from .model import entropy_mean
 from .numcore import normalize_rows
-from .report import build_report, write_report
+from .report import write_report
 from .trainer import evaluate, fit
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,22 +62,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=("mmd", "gradients", "theorems", "bound", "all"),
+        choices=(*SUITES, "all"),
         help="which property suite to run",
     )
     return parser
 
 
-def _final_metrics(truth, labels, num_clusters: int, post=None) -> dict:
+def _report(args, command, config, truth, labels, wall, post=None, epochs=None, extra=None) -> None:
+    """Write the run report to `--report`, if given: nmi, acc and ari when the CSV has
+    truth, the occupancy, the posterior entropy when there is a posterior, then `extra`."""
+    if not args.report:
+        return
     final: dict = {}
     if truth is not None:
         final["nmi"] = nmi(truth, labels)
         final["acc"] = acc(truth, labels)
         final["ari"] = ari(truth, labels)
-    final["occupancy"] = np.bincount(np.asarray(labels), minlength=num_clusters + 1)[1:].tolist()
+    final["occupancy"] = np.bincount(np.asarray(labels), minlength=config.num_clusters + 1)[1:].tolist()
     if post is not None:
         final["posterior_entropy"] = entropy_mean(post)
-    return final
+    final.update(extra or {})
+    write_report(args.report, command, config, final, wall, epochs=epochs)
 
 
 def _cmd_gen_data(args) -> int:
@@ -94,15 +99,7 @@ def _cmd_train(args) -> int:
     wall = time.perf_counter() - start
     if args.out:
         save_checkpoint(state, args.out)
-    if args.report:
-        report = build_report(
-            "train",
-            config,
-            _final_metrics(dataset.truth, labels, config.num_clusters, post),
-            wall,
-            epochs=epoch_log,
-        )
-        write_report(report, args.report)
+    _report(args, "train", config, dataset.truth, labels, wall, post=post, epochs=epoch_log)
     return 0
 
 
@@ -112,14 +109,7 @@ def _cmd_eval(args) -> int:
     start = time.perf_counter()
     labels, post = evaluate(state, dataset)
     wall = time.perf_counter() - start
-    if args.report:
-        report = build_report(
-            "eval",
-            state.config,
-            _final_metrics(dataset.truth, labels, state.config.num_clusters, post),
-            wall,
-        )
-        write_report(report, args.report)
+    _report(args, "eval", state.config, dataset.truth, labels, wall, post=post)
     return 0
 
 
@@ -133,11 +123,7 @@ def _cmd_baseline(args) -> int:
     else:
         labels = two_stage_pipeline(config, dataset)
     wall = time.perf_counter() - start
-    if args.report:
-        final = _final_metrics(dataset.truth, labels, config.num_clusters)
-        final["which"] = args.which
-        report = build_report("baseline", config, final, wall)
-        write_report(report, args.report)
+    _report(args, "baseline", config, dataset.truth, labels, wall, extra={"which": args.which})
     return 0
 
 

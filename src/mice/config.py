@@ -4,7 +4,8 @@ Keys are the fields of TrainConfig / SyntheticSpec, and each value is parsed by
 its field's annotation: `true`/`false` for a bool, an integer, a number, or a
 comma list of integers or numbers (an empty value is the empty list). Unknown
 keys are rejected by name; missing keys take the documented defaults baked into
-the dataclass; a spec key without a default must be given.
+the dataclass; a spec key without a default must be given. A byte-order mark
+(U+FEFF) at the start of the file is ignored.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .trainer import TrainConfig
 
 def parse_keyvalue(path) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # a leading BOM
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
     out: dict[str, str] = {}

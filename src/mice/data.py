@@ -7,8 +7,8 @@ cluster labels. Floats are written with repr (shortest round-trip), so
 save/load is lossless. Instance identities used in training are row indices and
 are never persisted.
 
-The loader reads the file in blocks of about _READ_BYTES, each cut after its
-last line feed, so memory stays near one block plus the parsed arrays. Each
+The loader reads the file in blocks of _READ_BYTES, each followed by the rest
+of its last line, so memory stays near one block plus the parsed arrays. Each
 block's rows go through numpy's C tokenizer in one call, and field counts,
 finiteness and labels are checked on the results. Only when that fails does a
 per-line scan of that block run, to name the first bad line. The writer formats
@@ -18,6 +18,7 @@ blocks of as many rows.
 Float fields follow numpy's grammar: Python's `float` syntax without
 underscores or non-ASCII digits, padded by any Unicode whitespace. Labels are
 decimal digits (Unicode category Nd, as re's \\d), from 1 to the int64 maximum.
+A byte-order mark (U+FEFF) at the start of the file is ignored.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .numcore import make_rng, nonzero_row_norms, normalize_rows, of_type
 from .prototypes import max_mahalanobis_centers
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_READ_BYTES = 1 << 18  # load_dataset reads the file in blocks of about this many bytes
+_READ_BYTES = 1 << 18  # load_dataset reads the file in blocks of this many bytes, plus a line
 _WRITE_ROWS = 1024  # save_dataset formats, and generate normalizes, this many rows at a time
 
 
@@ -147,7 +148,7 @@ def load_dataset(path) -> Dataset:
             continue
         try:
             if columns is None:
-                columns = _header_columns(lines[0])
+                columns = _header_columns(lines[0].removeprefix("\ufeff"))  # a leading BOM
                 lineno, lines = lineno + 1, lines[1:]
             rows = [line for line in lines if line.strip()]
             if rows:
@@ -169,32 +170,21 @@ def load_dataset(path) -> Dataset:
 def _line_blocks(path):
     """(number of the first line, its lines) for each block of the file, decoded as UTF-8.
 
-    A block is cut after its last line feed, so only the file's last block can end
-    without one. The blocks' splitlines() then add up to the whole text's: "\\r\\n"
-    never straddles a cut, and no UTF-8 sequence holds a line feed byte.
+    A block is _READ_BYTES read, then the rest of its last line, so only the file's last
+    block can end without a line feed. The blocks' splitlines() then add up to the whole
+    text's: "\\r\\n" never straddles a cut, and no UTF-8 sequence holds a line feed byte.
     """
-    lineno, rest, at_end = 1, b"", False
+    lineno = 1
     with open(path, "rb") as fh:
-        while not at_end:
-            carried = len(rest)
-            asked = max(_READ_BYTES, carried)  # a line longer than a block doubles the reads
-            block = rest + fh.read(asked)  # no copy while nothing is carried
-            # A buffered read comes back short only at the end of the file. Stopping there
-            # spares a read past the end, which allocates all it asks for and returns nothing.
-            at_end = len(block) - carried < asked
-            # The carried bytes hold no line feed, so only the new ones are searched.
-            cut = len(block) if at_end else block.rfind(b"\n", carried) + 1
-            if cut == 0:  # no line feed yet, or nothing left at the end
-                rest = block
-                continue
+        while block := fh.read(_READ_BYTES):
+            block += fh.readline()
             try:
-                text = str(memoryview(block)[:cut], "utf-8")
+                text = str(block, "utf-8")
             except UnicodeDecodeError as exc:
                 # The placeholder makes a break just before the bad byte count as a line.
                 before = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
                 raise ParseError(f"line {lineno + before - 1}: not valid UTF-8 ({exc.reason})") from None
             # Each form of the block is freed before the next is built, so at most two coexist.
-            rest = block[cut:]
             del block
             lines = text.splitlines()
             del text

@@ -101,9 +101,6 @@ class Params:
     def __setstate__(self, state):
         self.__init__(*state)
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
     def layer(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(weight, bias) views of one layer: 'trunk.{i}', 'heads' or 'gating'."""
         return self.arrays[f"{name}.weight"], self.arrays[f"{name}.bias"]

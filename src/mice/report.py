@@ -24,14 +24,15 @@ from .trainer import TrainConfig
 SCHEMA_VERSION = 1
 
 
-def build_report(
+def write_report(
+    path,
     command: str,
     config: TrainConfig,
     final: dict,
     wall_clock_seconds: float,
     epochs: list[dict] | None = None,
-) -> dict:
-    return {
+) -> None:
+    report = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
@@ -41,11 +42,4 @@ def build_report(
         "final": final,
         "wall_clock_seconds": wall_clock_seconds,
     }
-
-
-def write_report(report: dict, path) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -264,10 +264,7 @@ SUITES = {
 
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for suite in ("mmd", "gradients", "theorems", "bound"):
-            results.extend(SUITES[suite]())
-        return results
+        return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
         raise InvalidInputError(f"unknown suite {name!r}")
     return SUITES[name]()

@@ -91,7 +91,7 @@ class TestV1Fixture:
     def test_deep_copy_trains_without_touching_the_original(self, tmp_path):
         state = load_checkpoint(FIXTURE)
         clone = copy.deepcopy(state)
-        assert np.shares_memory(clone.student["heads.weight"], clone.student.vec)
+        assert np.shares_memory(clone.student.arrays["heads.weight"], clone.student.vec)
         assert not np.shares_memory(clone.student.vec, state.student.vec)
         assert not np.shares_memory(clone.queue.buffer, state.queue.buffer)
         fit(clone.config, generate(FIXTURE_DATA), clone)

@@ -1,5 +1,6 @@
 """Synthetic data, CSV round-trips, key-value configs, and the CLI end to end."""
 
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import mice
+from mice import cli, verify
 from mice.cli import cli_main
 from mice.config import _parse, load_config, load_synthetic_spec, parse_keyvalue
 from mice.data import (
@@ -31,8 +33,8 @@ from mice.errors import (
 )
 from mice.model import entropy_mean
 from mice.numcore import row_norms
-from mice.report import load_report
 from mice.trainer import TrainConfig, evaluate, load_checkpoint
+from mice.verify import SUITES, CheckResult
 
 
 class TestGenerate:
@@ -196,6 +198,9 @@ NON_DEFAULT_CONFIG = dict(
 )
 
 
+BOM = "\ufeff".encode("utf-8")  # as Notepad and Excel start a UTF-8 file
+
+
 class TestKeyValueFiles:
     def write(self, tmp_path, text, name="conf.txt"):
         path = tmp_path / name
@@ -217,6 +222,19 @@ class TestKeyValueFiles:
     def test_empty_key(self, tmp_path):
         with pytest.raises(ConfigError, match="empty key"):
             parse_keyvalue(self.write(tmp_path, "= 0.5\n"))
+
+    def test_bom_is_ignored_and_bad_bytes_count_from_the_file_start(self, tmp_path):
+        """One leading byte-order mark is dropped; the offset of a bad byte still
+        counts the mark's three bytes, as the file holds them."""
+        path = tmp_path / "conf.txt"
+        path.write_bytes(BOM + b"tau = 0.5\n")
+        assert parse_keyvalue(path) == {"tau": "0.5"}
+        path.write_bytes(BOM + b"tau = 0.5\xff\n")
+        with pytest.raises(ConfigError, match="not valid UTF-8 at byte 12"):
+            parse_keyvalue(path)
+        path.write_bytes(BOM + BOM + b"tau = 0.5\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
 
     def test_empty_file_gives_defaults(self, tmp_path):
         assert load_config(self.write(tmp_path, "")) == TrainConfig()
@@ -319,6 +337,22 @@ class TestCli:
         expected = generate(SyntheticSpec(3, 6, 15, 20.0, seed=3))
         np.testing.assert_array_equal(ds.points, expected.points)
 
+    def test_bom_config_trains_to_the_same_checkpoint(self, workdir):
+        """A config that starts with a UTF-8 byte-order mark is the same config."""
+        (workdir / "bom.txt").write_bytes(BOM + CONFIG_TEXT.encode())
+        for name in ("config", "bom"):
+            assert cli_main([
+                "train", "--config", str(workdir / f"{name}.txt"),
+                "--data", str(workdir / "data.csv"), "--out", str(workdir / f"{name}.ckpt"),
+            ]) == 0
+        assert (workdir / "bom.ckpt").read_bytes() == (workdir / "config.ckpt").read_bytes()
+
+    def test_bom_spec_generates_the_same_csv(self, workdir):
+        (workdir / "bom.txt").write_bytes(BOM + SPEC_TEXT.encode())
+        out = workdir / "bom.csv"
+        assert cli_main(["gen-data", "--spec", str(workdir / "bom.txt"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (workdir / "data.csv").read_bytes()
+
     def test_train_writes_checkpoint_and_report(self, workdir):
         code = cli_main([
             "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),
@@ -328,7 +362,7 @@ class TestCli:
         state = load_checkpoint(workdir / "run.ckpt")
         assert state.epoch == 2
 
-        report = load_report(workdir / "train.json")
+        report = json.loads((workdir / "train.json").read_text())
         assert report["schema_version"] == 1
         assert report["command"] == "train"
         assert report["seed"] == 2
@@ -345,8 +379,8 @@ class TestCli:
                 "train", "--config", str(workdir / "config.txt"),
                 "--data", str(workdir / "data.csv"), "--report", str(workdir / name),
             ]) == 0
-        a = load_report(workdir / "a.json")
-        b = load_report(workdir / "b.json")
+        a = json.loads((workdir / "a.json").read_text())
+        b = json.loads((workdir / "b.json").read_text())
         a.pop("wall_clock_seconds")
         b.pop("wall_clock_seconds")
         assert a == b
@@ -398,8 +432,8 @@ class TestCli:
             "eval", "--ckpt", str(workdir / "run.ckpt"), "--data", str(workdir / "data.csv"),
             "--report", str(workdir / "eval.json"),
         ]) == 0
-        train_report = load_report(workdir / "train.json")
-        eval_report = load_report(workdir / "eval.json")
+        train_report = json.loads((workdir / "train.json").read_text())
+        eval_report = json.loads((workdir / "eval.json").read_text())
         assert eval_report["command"] == "eval"
         assert eval_report["final"] == train_report["final"]
 
@@ -419,7 +453,7 @@ class TestCli:
             "eval", "--ckpt", str(ckpt), "--data", str(workdir / "part.csv"),
             "--report", str(workdir / "eval.json"),
         ]) == 0
-        occupancy = load_report(workdir / "eval.json")["final"]["occupancy"]
+        occupancy = json.loads((workdir / "eval.json").read_text())["final"]["occupancy"]
         assert occupancy == np.bincount(labels[keep], minlength=4)[1:].tolist()
         assert len(occupancy) == 3 and occupancy[-1] == 0
 
@@ -435,7 +469,7 @@ class TestCli:
             "--report", str(workdir / "eval.json"),
         ]) == 0
         _, post = evaluate(load_checkpoint(ckpt), load_dataset(workdir / "data.csv"))
-        reported = load_report(workdir / "eval.json")["final"]["posterior_entropy"]
+        reported = json.loads((workdir / "eval.json").read_text())["final"]["posterior_entropy"]
         assert reported == entropy_mean(post)
 
     @pytest.mark.parametrize("which", ["skmeans", "two-stage"])
@@ -445,7 +479,7 @@ class TestCli:
             "baseline", "--which", which, "--config", str(workdir / "config.txt"),
             "--data", str(workdir / "data.csv"), "--report", str(report_path),
         ]) == 0
-        report = load_report(report_path)
+        report = json.loads(report_path.read_text())
         assert report["command"] == "baseline"
         assert report["final"]["which"] == which
         assert sum(report["final"]["occupancy"]) == 45
@@ -497,6 +531,87 @@ class TestCli:
         ])
         assert code == 1
         assert "tau" in capsys.readouterr().err
+
+
+# Each command's arguments before --data, and the keys it adds to the report's
+# metrics; paths ending in .txt or .ckpt are files of the run directory.
+REPORT_RUNS = {
+    "train": (["train", "--config", "config.txt"], {"posterior_entropy"}),
+    "eval": (["eval", "--ckpt", "run.ckpt"], {"posterior_entropy"}),
+    "skmeans": (["baseline", "--which", "skmeans", "--config", "config.txt"], {"which"}),
+    "two-stage": (["baseline", "--which", "two-stage", "--config", "config.txt"], {"which"}),
+}
+
+
+class TestReportPath:
+    """Every command writes its report the same way: nmi, acc and ari when the CSV has
+    truth, the occupancy, then the command's own keys; without --report, no file and
+    no metric."""
+
+    @pytest.fixture
+    def rundir(self, workdir):
+        save_dataset(Dataset(load_dataset(workdir / "data.csv").points), workdir / "unlabelled.csv")
+        assert cli_main([
+            "train", "--config", str(workdir / "config.txt"), "--data", str(workdir / "data.csv"),
+            "--out", str(workdir / "run.ckpt"),
+        ]) == 0
+        return workdir
+
+    def argv(self, rundir, run, csv):
+        files = [str(rundir / a) if a.endswith((".txt", ".ckpt")) else a for a in REPORT_RUNS[run][0]]
+        return files + ["--data", str(rundir / csv)]
+
+    @pytest.mark.parametrize("csv", ["data.csv", "unlabelled.csv"], ids=["truth", "no-truth"])
+    @pytest.mark.parametrize("run", REPORT_RUNS)
+    def test_final_keys(self, rundir, run, csv):
+        report = rundir / "report.json"
+        assert cli_main(self.argv(rundir, run, csv) + ["--report", str(report)]) == 0
+        metrics = {"nmi", "acc", "ari"} if csv == "data.csv" else set()
+        final = json.loads(report.read_text())["final"]
+        assert set(final) == metrics | {"occupancy"} | REPORT_RUNS[run][1]
+
+    @pytest.mark.parametrize("run", REPORT_RUNS)
+    def test_no_report_and_no_metrics_without_the_option(self, rundir, monkeypatch, run):
+        def unwanted(*_):
+            raise AssertionError("a report metric was computed without --report")
+
+        for name in ("nmi", "acc", "ari", "entropy_mean"):
+            monkeypatch.setattr(cli, name, unwanted)
+        before = sorted(rundir.iterdir())
+        assert cli_main(self.argv(rundir, run, "data.csv")) == 0
+        assert sorted(rundir.iterdir()) == before
+
+
+class TestVerifySuites:
+    """verify.SUITES is the one list of suites: `--suite` offers its names and `all`,
+    `all` runs them in its order, and README lists the same names."""
+
+    def test_suite_order(self):
+        assert list(SUITES) == ["mmd", "gradients", "theorems", "bound"]
+
+    def test_all_runs_every_suite_in_order(self, monkeypatch, capsys):
+        stubs = {
+            name: lambda name=name, count=count: [
+                CheckResult(f"{name} {i}", True, "stub") for i in range(count)
+            ]
+            for count, name in enumerate(SUITES, start=1)
+        }
+        monkeypatch.setattr(verify, "SUITES", stubs)
+        assert cli_main(["verify", "--suite", "all"]) == 0
+        checks = [f"[PASS] {name} {i}: stub" for count, name in enumerate(SUITES, 1) for i in range(count)]
+        total = len(checks)
+        assert capsys.readouterr().out.splitlines() == checks + [f"{total}/{total} checks passed"]
+
+    def test_parser_choices(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == (*SUITES, "all")
+
+    def test_readme_lists_every_suite(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        line = next(line for line in readme.splitlines() if line.startswith("mice verify"))
+        assert [name.strip() for name in line.split("#", 1)[1].split("|")] == [*SUITES, "all"]
 
 
 class TestHostileInputCli:

@@ -290,6 +290,44 @@ class TestReadBlocks:
             np.testing.assert_array_equal(load_dataset(path).points, np.full((2, width), 0.125))
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """One UTF-8 byte-order mark at the start of the file is ignored, as editors such
+    as Notepad and Excel write it; the loader counts lines as without it."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    def test_loads_the_same_arrays(self, tmp_path, block, with_truth):
+        dataset = generate(SyntheticSpec(3, 4, 5, 10.0, seed=1))
+        if not with_truth:
+            dataset = Dataset(dataset.points)
+        save_dataset(dataset, tmp_path / "plain.csv")
+        (tmp_path / "bom.csv").write_bytes(BOM + (tmp_path / "plain.csv").read_bytes())
+        with mock.patch.object(data, "_READ_BYTES", block):
+            result = load_result(tmp_path / "bom.csv")
+        assert isinstance(result[0], bytes), result
+        assert result == load_result(tmp_path / "plain.csv")
+
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    def test_a_bad_byte_names_its_line(self, tmp_path, block):
+        path = tmp_path / "bom.csv"
+        with mock.patch.object(data, "_READ_BYTES", block):
+            path.write_bytes(BOM + b"dim_0\n0.5\n0.5\n")
+            np.testing.assert_array_equal(load_dataset(path).points, [[0.5], [0.5]])
+            path.write_bytes(BOM + b"dim_0\n0.5\n0.5\xff\n")
+            with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+                load_dataset(path)
+
+    def test_only_one_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + BOM + b"dim_0\n0.5\n")
+        message = "line 1: expected column dim_0, found '\\ufeffdim_0'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(path)
+
+
 @pytest.fixture(scope="module")
 def large_csv(tmp_path_factory):
     """20000 points in 16 dims with truth: 6.3 MiB on disk, 2.7 MiB parsed."""

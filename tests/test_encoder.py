@@ -46,8 +46,8 @@ class TestForward:
         """Zero weights + unit bias e1: every input maps exactly to e1."""
         e1 = np.array([1.0, 0.0, 0.0])
         params = Params(Layout(2, (), 3, 1))  # all zeros
-        params["heads.bias"][:] = e1
-        params["gating.bias"][:] = e1
+        params.arrays["heads.bias"][:] = e1
+        params.arrays["gating.bias"][:] = e1
         f, _ = forward_student(np.array([[0.4, -1.1], [2.0, 5.0]]), params)
         assert f.shape == (2, 1, 3)
         np.testing.assert_array_equal(f[:, 0, :], np.tile(e1, (2, 1)))
@@ -75,9 +75,9 @@ class TestForward:
     def test_teacher_copy_is_independent(self):
         params = small_params(seed=5)
         teacher = params.teacher_copy()
-        before = teacher["trunk.0.weight"].copy()
-        params["trunk.0.weight"][:] += 1.0
-        np.testing.assert_array_equal(teacher["trunk.0.weight"], before)
+        before = teacher.arrays["trunk.0.weight"].copy()
+        params.arrays["trunk.0.weight"][:] += 1.0
+        np.testing.assert_array_equal(teacher.arrays["trunk.0.weight"], before)
         assert teacher.layout == params.layout.teacher
         assert "gating.weight" not in teacher.arrays
 
@@ -144,9 +144,9 @@ class TestForward:
         a = small_params(seed=42, hidden=(6, 5))
         b = small_params(seed=42, hidden=(6, 5))
         assert np.array_equal(a.vec, b.vec)
-        assert np.max(np.abs(a["trunk.0.weight"])) <= 1.0 / math.sqrt(3)
-        assert np.max(np.abs(a["trunk.1.weight"])) <= 1.0 / math.sqrt(6)
-        assert np.max(np.abs(a["heads.weight"])) <= 1.0 / math.sqrt(5)
+        assert np.max(np.abs(a.arrays["trunk.0.weight"])) <= 1.0 / math.sqrt(3)
+        assert np.max(np.abs(a.arrays["trunk.1.weight"])) <= 1.0 / math.sqrt(6)
+        assert np.max(np.abs(a.arrays["heads.weight"])) <= 1.0 / math.sqrt(5)
         with pytest.raises(InvalidInputError):
             init_params(0, [4], 2, 1, make_rng(0))
         with pytest.raises(InvalidInputError):
@@ -162,23 +162,23 @@ class TestBackward:
         lands on dW = (1/sqrt(2), -1/sqrt(2)).
         """
         params = Params(Layout(1, (), 2, 1))
-        params["heads.weight"][:] = [[0.5], [0.5]]
-        params["gating.bias"][:] = [1.0, 0.0]
+        params.arrays["heads.weight"][:] = [[0.5], [0.5]]
+        params.arrays["gating.bias"][:] = [1.0, 0.0]
         f, tape = forward_student(np.array([[2.0]]), params)
         np.testing.assert_allclose(f[0, 0], [1 / math.sqrt(2)] * 2, rtol=1e-15)
         grads = backward(tape, np.array([[[1.0, 0.0]]]), params)
         np.testing.assert_allclose(
-            grads["heads.weight"],
+            grads.arrays["heads.weight"],
             [[0.7071067811865475], [-0.7071067811865475]],
             rtol=1e-14,
         )
         np.testing.assert_allclose(
-            grads["heads.bias"],
+            grads.arrays["heads.bias"],
             [0.35355339059327373, -0.35355339059327373],
             rtol=1e-14,
         )
         # zero-weight gating head was never on this tape
-        assert not np.any(grads["gating.weight"])
+        assert not np.any(grads.arrays["gating.weight"])
 
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 5)])
     def test_matches_finite_differences(self, hidden):
@@ -229,15 +229,15 @@ class TestBackward:
         dz = du.reshape(7, -1)
         inputs = [x] + tape.trunk_outputs
         want = {f"{head}.weight": dz.T @ inputs[-1], f"{head}.bias": dz.sum(axis=0)}
-        w_above = params[f"{head}.weight"]
+        w_above = params.arrays[f"{head}.weight"]
         for i in range(len(hidden) - 1, -1, -1):
             h_out = tape.trunk_outputs[i]
             dz = (dz @ w_above) * (1.0 - h_out * h_out)
             want[f"trunk.{i}.weight"] = dz.T @ inputs[i]
             want[f"trunk.{i}.bias"] = dz.sum(axis=0)
-            w_above = params[f"trunk.{i}.weight"]
+            w_above = params.arrays[f"trunk.{i}.weight"]
         for name, value in want.items():
-            assert grads[name].tobytes() == value.tobytes(), name
+            assert grads.arrays[name].tobytes() == value.tobytes(), name
 
     def test_zero_upstream_gives_zero_bundle(self):
         params = small_params()
@@ -254,7 +254,7 @@ class TestBackward:
         grads = backward(tape, np.ones((4, 4)), params)
         for weight, bias in head_blocks(grads):
             assert not np.any(weight) and not np.any(bias)
-        assert np.any(grads["gating.weight"])
+        assert np.any(grads.arrays["gating.weight"])
 
     def test_upstream_shape_mismatch(self):
         params = small_params()
@@ -292,13 +292,13 @@ class TestBackward:
         assert offset == params.vec.size
         weight, bias = head_blocks(params)[1]
         assert np.shares_memory(weight, params.vec) and weight.shape == (4, 5)
-        np.testing.assert_array_equal(weight, params["heads.weight"][4:8])
+        np.testing.assert_array_equal(weight, params.arrays["heads.weight"][4:8])
         params.vec[:] = 7.0
-        assert np.all(params["gating.bias"] == 7.0) and np.all(bias == 7.0)
+        assert np.all(params.arrays["gating.bias"] == 7.0) and np.all(bias == 7.0)
         clone = copy.deepcopy(params)
         clone.vec[:] = -1.0
-        assert np.all(clone["trunk.0.weight"] == -1.0)
-        assert np.all(params["trunk.0.weight"] == 7.0)
+        assert np.all(clone.arrays["trunk.0.weight"] == -1.0)
+        assert np.all(params.arrays["trunk.0.weight"] == 7.0)
 
 
 class TestEma:
@@ -310,7 +310,7 @@ class TestEma:
         params.vec[: teacher.vec.size] = 1.0  # trunk + expert heads; gating stays random
         student_before = params.vec.copy()
         out = ema_update(teacher, params, 0.999)
-        np.testing.assert_allclose(out["trunk.0.weight"], 0.001, rtol=1e-12)
+        np.testing.assert_allclose(out.arrays["trunk.0.weight"], 0.001, rtol=1e-12)
         np.testing.assert_allclose(head_blocks(out)[1][1], 0.001, rtol=1e-12)
         # the teacher's own vector is updated and returned; the student is not mutated
         assert out is teacher
@@ -346,7 +346,7 @@ class TestEma:
     def test_momentum_zero_copies_student(self):
         params = small_params(seed=8)
         teacher = params.teacher_copy()
-        teacher["trunk.0.weight"][:] = -5.0
+        teacher.arrays["trunk.0.weight"][:] = -5.0
         out = ema_update(teacher, params, 0.0)
         assert np.array_equal(out.vec, params.vec[: out.vec.size])
 
